@@ -1,11 +1,16 @@
 // Crash recovery walkthrough (Section 3.4): a new_order crashes between its
 // forward steps; the database keeps the partial order (steps are atomic and
 // logged), the consistency constraint I1 is temporarily false, and recovery
-// runs the registered compensator from the logged work area to semantically
-// undo the completed steps.
+// runs the registered compensator from the work area in the surviving WAL
+// file to semantically undo the completed steps. The WAL lives in the
+// system temp dir and is removed before exit; the exit status is non-zero
+// unless recovery compensated the crashed transaction and I1 holds again.
+
+#include <unistd.h>
 
 #include <cstdio>
-#include <memory>
+#include <filesystem>
+#include <string>
 
 #include "acc/conflict_resolver.h"
 #include "acc/engine.h"
@@ -114,7 +119,17 @@ int main() {
   acc::AccConflictResolver resolver(&system.interference);
   acc::EngineConfig config;
   config.charge_acc_overheads = false;
-  auto engine = std::make_unique<acc::Engine>(&database, &resolver, config);
+  const std::filesystem::path wal_path =
+      std::filesystem::temp_directory_path() /
+      ("accdb_crash_recovery_" + std::to_string(::getpid()) + ".wal");
+  config.wal.path = wal_path.string();
+  std::filesystem::remove(wal_path);
+  acc::Engine engine(&database, &resolver, config);
+  if (!engine.wal_status().ok()) {
+    std::fprintf(stderr, "cannot open the WAL: %s\n",
+                 engine.wal_status().ToString().c_str());
+    return 1;
+  }
 
   std::printf("1. A new_order commits two forward steps, then the system "
               "crashes mid-transaction.\n");
@@ -123,7 +138,7 @@ int main() {
   sim::Signal crash_point(sim);
   CrashingNewOrder crasher(&system, &sim, &crash_point);
   sim.Spawn("victim", [&] {
-    (void)engine->Execute(crasher, env, acc::ExecMode::kAccDecomposed);
+    (void)engine.Execute(crasher, env, acc::ExecMode::kAccDecomposed);
   });
   sim.Run();  // Drains with the transaction stuck at the crash point.
 
@@ -137,17 +152,24 @@ int main() {
               static_cast<long long>(StockOfItem1(system)),
               consistent ? "OK (unexpected!)" : violation.c_str());
 
-  std::printf("3. Recovery: volatile state (locks, undo) is gone; the log "
-              "and database survive.\n");
-  acc::RecoveryLog log = engine->recovery_log();
-  engine.reset();  // The crash: the old engine's lock tables evaporate.
-
+  std::printf("3. Recovery: volatile state (locks, undo, the unflushed log "
+              "buffer) is gone; the log file and database survive.\n");
+  // The crash: a fresh engine opens a copy of the log bytes on disk now.
+  const std::filesystem::path surviving = wal_path.string() + ".surviving";
+  std::filesystem::copy_file(
+      wal_path, surviving, std::filesystem::copy_options::overwrite_existing);
+  config.wal.path = surviving.string();
   acc::Engine fresh(&database, &resolver, config);
   acc::CompensatorRegistry registry;
   orderproc::RegisterCompensators(&system, &registry);
   acc::ImmediateEnv recovery_env;
-  acc::RecoveryReport report =
-      acc::RunRecovery(fresh, log, registry, recovery_env);
+  acc::RecoveryReport report;
+  if (fresh.wal() != nullptr) {
+    report = acc::RunRecovery(fresh, fresh.wal()->recovered(), registry,
+                              recovery_env);
+  }
+  std::filesystem::remove(wal_path);
+  std::filesystem::remove(surviving);
   std::printf("   in-flight=%d compensated=%d missing-compensator=%d\n",
               report.in_flight, report.compensated,
               report.missing_compensator);
@@ -159,5 +181,5 @@ int main() {
               system.orders->LookupPk(Key(order)).has_value() ? "yes" : "no",
               static_cast<long long>(StockOfItem1(system)),
               ok ? "OK" : "VIOLATED: ", ok ? "" : violation.c_str());
-  return ok && report.compensated == report.in_flight ? 0 : 1;
+  return ok && report.in_flight == 1 && report.compensated == 1 ? 0 : 1;
 }

@@ -165,5 +165,11 @@ int main() {
       "schedule (serially one buyer drains the $30 tier first), yet each\n"
       "postcondition holds: every share was the cheapest available when\n"
       "bought. This is the paper's semantic correctness.\n");
-  return 0;
+  // Exit status: each buyer got its 10 shares, the first tranche at $30.
+  auto got_cheap_tier = [](const auto& bought) {
+    int64_t total = 0;
+    for (auto [price, shares] : bought) total += shares;
+    return total == 10 && !bought.empty() && bought.front().first == 30;
+  };
+  return got_cheap_tier(bought1) && got_cheap_tier(bought2) ? 0 : 1;
 }

@@ -120,7 +120,6 @@ ExecResult Engine::Execute(TransactionProgram& program, ExecutionEnv& env,
 
     Status status;
     if (mode == ExecMode::kAccDecomposed) {
-      recovery_log_.Begin(txn, std::string(program.name()));
       if (wal_ != nullptr) {
         // Not forced: a begin with no durable end-of-step is invisible to
         // recovery, so it may ride along with the first step's force.
@@ -164,7 +163,6 @@ ExecResult Engine::Execute(TransactionProgram& program, ExecutionEnv& env,
     if (status.ok()) {
       uint64_t commit_lsn = 0;
       if (mode == ExecMode::kAccDecomposed) {
-        recovery_log_.Commit(txn);
         if (wal_ != nullptr) {
           WalRecord rec;
           rec.type = LogRecordType::kCommit;
@@ -232,7 +230,6 @@ ExecResult Engine::Execute(TransactionProgram& program, ExecutionEnv& env,
           return result;
         }
         result.compensated = true;
-        recovery_log_.Compensated(txn);
         if (wal_ != nullptr) {
           // The compensating step's redo rides inside its kCompensated
           // record: either both are durable (replay applies the undo and
@@ -256,7 +253,6 @@ ExecResult Engine::Execute(TransactionProgram& program, ExecutionEnv& env,
         return result;
       }
       // No step completed: the transaction simply evaporates.
-      recovery_log_.Compensated(txn);
       if (wal_ != nullptr) {
         // Unforced bookkeeping: no durable end-of-step exists, so recovery
         // ignores this txn either way.
@@ -323,7 +319,6 @@ Status Engine::ExecuteCompensation(
     // restart.
     const lock::TxnId logged =
         logged_txn != lock::kInvalidTxn ? logged_txn : txn;
-    recovery_log_.Compensated(logged);
     if (wal_ != nullptr) {
       WalRecord rec;
       rec.type = LogRecordType::kCompensated;

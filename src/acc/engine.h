@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "acc/program.h"
-#include "acc/recovery_log.h"
 #include "acc/spec.h"
 #include "acc/wal.h"
 #include "cc/occ.h"
@@ -106,12 +105,12 @@ struct EngineConfig {
   // simulation — and is exactly the historical single-atomic behaviour; the
   // real-thread runtime and the server default to a larger block.
   uint32_t txn_id_block = 1;
-  // Durable write-ahead log. An empty path (the default) keeps the
-  // historical in-memory RecoveryLog only — the simulation always runs this
-  // way, so sim results stay byte-identical. With a path set, the engine
-  // opens (or recovers) the WAL in its constructor; check wal_status()
-  // before executing. Transaction ids are floored past the largest id in
-  // the recovered log so a restarted process never reuses a logged id.
+  // Durable write-ahead log, the engine's only log. An empty path (the
+  // default) logs nothing — the simulation always runs this way, so sim
+  // results stay byte-identical. With a path set, the engine opens (or
+  // recovers) the WAL in its constructor; check wal_status() before
+  // executing. Transaction ids are floored past the largest id in the
+  // recovered log so a restarted process never reuses a logged id.
   Wal::Options wal;
 };
 
@@ -325,7 +324,6 @@ class Engine : public lock::LockManager::Listener {
 
   storage::Database& db() { return *db_; }
   lock::LockManager& lock_manager() { return lock_manager_; }
-  RecoveryLog& recovery_log() { return recovery_log_; }
   // Backend state for the src/cc executors (kOptimistic / kMultiVersion).
   cc::OccVersionTable& occ_versions() { return occ_versions_; }
   cc::VersionStore& version_store() { return version_store_; }
@@ -389,7 +387,6 @@ class Engine : public lock::LockManager::Listener {
   storage::Database* db_;
   EngineConfig config_;
   lock::LockManager lock_manager_;
-  RecoveryLog recovery_log_;
   cc::OccVersionTable occ_versions_;
   cc::VersionStore version_store_;
   std::unique_ptr<Wal> wal_;

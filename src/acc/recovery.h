@@ -1,9 +1,10 @@
 // Crash recovery (Section 3.4).
 //
-// A crash is modelled as losing all volatile state — lock tables, undo
-// logs, in-memory program objects — while the database contents (steps are
-// atomic and force-logged at step end) and the recovery log survive.
-// Recovery finds every transaction with completed forward steps but no
+// A crash loses all volatile state — lock tables, undo logs, in-memory
+// program objects — while the WAL survives (steps are atomic and
+// force-logged at step end). The database is either rebuilt from the WAL's
+// redo (ReplayWal) or, in the single-process tests, kept as it was.
+// Recovery then finds every transaction with completed forward steps but no
 // commit/compensated record and runs its compensating step, reconstructed
 // from the serialized work area by a registered compensator.
 
@@ -16,11 +17,24 @@
 #include <vector>
 
 #include "acc/engine.h"
-#include "acc/recovery_log.h"
+#include "acc/wal.h"
 
 namespace accdb::acc {
 
 class TxnContext;
+
+// A transaction that needs compensation after a crash.
+struct InFlightTxn {
+  lock::TxnId txn;
+  std::string program;
+  int completed_steps;
+  std::string work_area;  // From the latest end-of-step record.
+};
+
+// Scans `records` (LSN order) for transactions with at least one
+// end-of-step record and no commit/compensated record, in reverse begin
+// order (most recent first) — the order recovery compensates them in.
+std::vector<InFlightTxn> FindInFlight(const std::vector<WalRecord>& records);
 
 // Rebuilds and runs compensation for one program type from a logged work
 // area.
@@ -53,8 +67,9 @@ struct RecoveryReport {
 };
 
 // Runs recovery against `engine` (a fresh post-crash engine over the
-// surviving database) using the pre-crash `log`.
-RecoveryReport RunRecovery(Engine& engine, const RecoveryLog& log,
+// surviving database) using the pre-crash log `records`.
+RecoveryReport RunRecovery(Engine& engine,
+                           const std::vector<WalRecord>& records,
                            const CompensatorRegistry& registry,
                            ExecutionEnv& env);
 

@@ -596,22 +596,17 @@ void TxnContext::CompleteStep(const AssertionInstance& next_assertion,
     env_->UseServer(config.costs.acc_step_end_overhead);
   }
   uint64_t force_lsn = 0;
-  if (!in_compensation_) {
-    std::string work_area = program_->SerializeWorkArea();
-    if (engine_->wal() != nullptr) {
-      // The step's redo rides in the end-of-step record: a durable record
-      // means the step's writes replay at recovery, an absent record means
-      // none of them happened — the atomic-step contract.
-      WalRecord rec;
-      rec.type = LogRecordType::kEndOfStep;
-      rec.txn = txn_;
-      rec.step_index = completed_steps_ + 1;
-      rec.work_area = work_area;
-      rec.redo = TakeRedo();
-      force_lsn = engine_->wal()->Append(std::move(rec));
-    }
-    engine_->recovery_log().EndOfStep(txn_, completed_steps_ + 1,
-                                      std::move(work_area));
+  if (!in_compensation_ && engine_->wal() != nullptr) {
+    // The step's redo rides in the end-of-step record: a durable record
+    // means the step's writes replay at recovery, an absent record means
+    // none of them happened — the atomic-step contract.
+    WalRecord rec;
+    rec.type = LogRecordType::kEndOfStep;
+    rec.txn = txn_;
+    rec.step_index = completed_steps_ + 1;
+    rec.work_area = program_->SerializeWorkArea();
+    rec.redo = TakeRedo();
+    force_lsn = engine_->wal()->Append(std::move(rec));
   }
 
   // Items written by this step: kComp markers (compensation reservation and

@@ -462,25 +462,4 @@ Status ReplayWal(storage::Database& db,
   return Status::Ok();
 }
 
-RecoveryLog RebuildRecoveryLog(const std::vector<WalRecord>& records) {
-  RecoveryLog log;
-  for (const WalRecord& record : records) {
-    switch (record.type) {
-      case LogRecordType::kBegin:
-        log.Begin(record.txn, record.program);
-        break;
-      case LogRecordType::kEndOfStep:
-        log.EndOfStep(record.txn, record.step_index, record.work_area);
-        break;
-      case LogRecordType::kCommit:
-        log.Commit(record.txn);
-        break;
-      case LogRecordType::kCompensated:
-        log.Compensated(record.txn);
-        break;
-    }
-  }
-  return log;
-}
-
 }  // namespace accdb::acc

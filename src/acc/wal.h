@@ -47,12 +47,22 @@
 #include <utility>
 #include <vector>
 
-#include "acc/recovery_log.h"
 #include "common/record_file.h"
 #include "common/status.h"
+#include "lock/types.h"
 #include "storage/database.h"
 
 namespace accdb::acc {
+
+// Record kinds. Under the ACC a transaction logs one kBegin, one kEndOfStep
+// per completed forward step, then kCommit or kCompensated; the monolithic
+// backends log a single kCommit.
+enum class LogRecordType : uint8_t {
+  kBegin,
+  kEndOfStep,
+  kCommit,
+  kCompensated,
+};
 
 // One physical write to replay at recovery. Inserts carry the full row and
 // its assigned RowId (replay re-inserts under the same id, so later records
@@ -186,10 +196,6 @@ Status ApplyWalRedo(storage::Database& db, const WalRecord& record);
 
 // Replays every record's redo in order (the recovery redo pass).
 Status ReplayWal(storage::Database& db, const std::vector<WalRecord>& records);
-
-// Rebuilds the in-memory recovery log view (begin / end-of-step / commit /
-// compensated) from scanned WAL records, for RecoveryLog::FindInFlight.
-RecoveryLog RebuildRecoveryLog(const std::vector<WalRecord>& records);
 
 }  // namespace accdb::acc
 

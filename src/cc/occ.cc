@@ -47,6 +47,13 @@ void OccBuffer::RecordRead(const lock::ItemId& item) {
   reads_.emplace(item, versions_->Version(item));
 }
 
+bool OccBuffer::ReadSetCurrent() const {
+  for (const auto& [item, version] : reads_) {
+    if (versions_->Version(item) != version) return false;
+  }
+  return true;
+}
+
 const OccBuffer::Write* OccBuffer::FindWrite(const lock::ItemId& item) const {
   auto it = writes_.find(item);
   return it == writes_.end() ? nullptr : &it->second;
@@ -307,6 +314,12 @@ Result<storage::RowId> OccBuffer::Insert(storage::Table& table,
   if (std::optional<storage::RowId> existing = table.LookupPk(key)) {
     const Write* w = FindWrite(lock::ItemId::Row(table.id(), *existing));
     if (w == nullptr || w->kind != Write::Kind::kDelete) {
+      // With a stale read set the key itself may be stale (derived from a
+      // row a committer has since changed, along with inserting this key):
+      // restart rather than fail. Commit would reject the attempt anyway.
+      if (!ReadSetCurrent()) {
+        return ValidationFailed("occ read-set validation failed");
+      }
       return Status::AlreadyExists(table.name() + " duplicate key");
     }
   }
@@ -387,10 +400,8 @@ Status OccBuffer::Commit(std::vector<OccAppliedWrite>* applied,
   std::lock_guard<std::mutex> commit(versions_->commit_mutex());
 
   // Backward validation: every observed version must still be current.
-  for (const auto& [item, version] : reads_) {
-    if (versions_->Version(item) != version) {
-      return ValidationFailed("occ read-set validation failed");
-    }
+  if (!ReadSetCurrent()) {
+    return ValidationFailed("occ read-set validation failed");
   }
   // Every buffered insert's key must (still) be absent — unless the
   // occupying row is one this transaction itself deletes below.

@@ -183,6 +183,9 @@ class OccBuffer {
   // Must be called BEFORE the row copy is taken (see file comment).
   void RecordRead(const lock::ItemId& item);
 
+  // True while every version in the read set is still current.
+  bool ReadSetCurrent() const;
+
   // The buffered write for a committed row, or nullptr.
   const Write* FindWrite(const lock::ItemId& item) const;
 

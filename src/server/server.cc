@@ -71,11 +71,11 @@ Status AccdbServer::RecoverFromWal() {
   // Compensation pass (§3.4): every transaction with durable forward steps
   // but no commit/compensated record runs its compensating step, which logs
   // (and forces) a kCompensated record through the engine's live WAL.
-  acc::RecoveryLog log = acc::RebuildRecoveryLog(wal->recovered());
   acc::CompensatorRegistry registry;
   tpcc::RegisterTpccCompensators(&system_.db(), &registry);
   acc::ImmediateEnv env;
-  recovery_report_ = acc::RunRecovery(engine, log, registry, env);
+  recovery_report_ =
+      acc::RunRecovery(engine, wal->recovered(), registry, env);
   if (!recovery_report_.clean()) {
     return Status::Internal(
         "recovery not clean: " + std::to_string(recovery_report_.failed) +

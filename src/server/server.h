@@ -85,10 +85,10 @@ struct ServerOptions {
   // Per-thread transaction-id block size (EngineConfig::txn_id_block);
   // worker threads default to batched allocation.
   uint32_t txn_id_block = acc::TxnIdAllocator::kDefaultBlock;
-  // Durable WAL (empty = volatile in-memory log only, the historical
-  // behaviour). With a path set, Start() first recovers: replays the
-  // surviving log's redo onto the freshly loaded database, rebuilds the
-  // in-flight set, and runs §3.4 compensators — then serves.
+  // Durable WAL (empty = no log: nothing survives the process). With a
+  // path set, Start() first recovers: replays the surviving log's redo onto
+  // the freshly loaded database, finds the in-flight set, and runs §3.4
+  // compensators — then serves.
   std::string wal_path;
   // Group-commit fsync batch window in microseconds (0 = sync-per-commit).
   uint32_t group_commit_us = 0;

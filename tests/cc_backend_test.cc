@@ -227,6 +227,45 @@ TEST_F(CcBackendTest, OccInsertKeyValidationCatchesConcurrentInsert) {
   EXPECT_TRUE(kv_->LookupPk(Key(2)).has_value());
 }
 
+// A key derived from a stale read can collide with the row the committer
+// that changed the read inserted (TPC-C payment's HISTORY key). The early
+// duplicate check must report the stale read set as a restart, not a hard
+// kAlreadyExists.
+TEST_F(CcBackendTest, OccDuplicateFromStaleReadRestarts) {
+  int attempts = 0;
+  ExecResult result = Run(
+      ExecMode::kOptimistic, env_, /*read_only=*/false,
+      [&](TxnContext& c) -> Status {
+        ++attempts;
+        ACCDB_ASSIGN_OR_RETURN(int64_t v, c.ReadVariable(*counter_a_, true));
+        if (attempts == 1) {
+          // A committer advances the counter and inserts key v.
+          ImmediateEnv other_env;
+          ExecResult other =
+              Run(ExecMode::kOptimistic, other_env, /*read_only=*/false,
+                  [&](TxnContext& oc) -> Status {
+                    ACCDB_ASSIGN_OR_RETURN(
+                        int64_t ov, oc.ReadVariable(*counter_a_, true));
+                    ACCDB_RETURN_IF_ERROR(
+                        oc.WriteVariable(*counter_a_, ov + 1));
+                    return oc.Insert(*kv_, {Value(ov), Value(int64_t{7})})
+                        .status();
+                  });
+          EXPECT_TRUE(other.status.ok());
+        }
+        ACCDB_RETURN_IF_ERROR(c.WriteVariable(*counter_a_, v + 1));
+        return c.Insert(*kv_, {Value(v), Value(int64_t{100})}).status();
+      });
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(result.txn_restarts, 1);
+  EXPECT_EQ(ReadCounter(counter_a_), 2);
+  ASSERT_TRUE(kv_->LookupPk(Key(0)).has_value());
+  EXPECT_EQ((*kv_->GetCopy(*kv_->LookupPk(Key(0))))[1].AsInt64(), 7);
+  ASSERT_TRUE(kv_->LookupPk(Key(1)).has_value());
+  EXPECT_EQ((*kv_->GetCopy(*kv_->LookupPk(Key(1))))[1].AsInt64(), 100);
+}
+
 // OCC executions never block, so every thread can run on its own
 // ImmediateEnv: pure validate/apply contention on one hot counter.
 TEST_F(CcBackendTest, OccParallelIncrementsLoseNoUpdates) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "lock/conflict.h"
 #include "sim/simulation.h"
 #include "storage/database.h"
+#include "test_files.h"
 
 namespace accdb::acc {
 namespace {
@@ -40,9 +43,25 @@ class EngineTest : public ::testing::Test {
     table_.Set(step_inc_, assert_between_, Interference::kIfSameKey);
     table_.Set(step_comp_, assert_between_, Interference::kIfSameKey);
     table_.Set(prefix_partial_, assert_between_, Interference::kIfSameKey);
-    EngineConfig config;
-    config.charge_acc_overheads = false;
-    engine_ = std::make_unique<Engine>(&db_, &resolver_, config);
+    config_.charge_acc_overheads = false;
+    engine_ = std::make_unique<Engine>(&db_, &resolver_, config_);
+  }
+  ~EngineTest() override { ::unlink(config_.wal.path.c_str()); }
+
+  // Recreates the engine over a fresh temp-file WAL named `name`.
+  void AttachWal(const std::string& name) {
+    config_.wal.path = TempPath(name);
+    ::unlink(config_.wal.path.c_str());
+    engine_ = std::make_unique<Engine>(&db_, &resolver_, config_);
+  }
+
+  // Closes the engine and returns the records its WAL file holds.
+  std::vector<WalRecord> CloseAndScanWal() {
+    engine_.reset();
+    Status status;
+    std::unique_ptr<Wal> wal = Wal::Open({config_.wal.path, 0}, &status);
+    EXPECT_NE(wal, nullptr) << status.ToString();
+    return wal != nullptr ? wal->recovered() : std::vector<WalRecord>{};
   }
 
   int64_t ReadCounter(storage::Table* t) { return db_.ReadVariable(*t); }
@@ -53,11 +72,18 @@ class EngineTest : public ::testing::Test {
   Catalog catalog_;
   InterferenceTable table_;
   AccConflictResolver resolver_;
+  EngineConfig config_;
   std::unique_ptr<Engine> engine_;
   ImmediateEnv env_;
   lock::ActorId step_inc_, step_comp_, prefix_partial_;
   lock::AssertionId assert_between_;
 };
+
+std::vector<LogRecordType> Types(const std::vector<WalRecord>& records) {
+  std::vector<LogRecordType> types;
+  for (const WalRecord& rec : records) types.push_back(rec.type);
+  return types;
+}
 
 // A two-step program: step 1 increments counter a, step 2 increments
 // counter b; compensation decrements a.
@@ -135,6 +161,7 @@ TEST_F(EngineTest, SerializableVoluntaryAbortRollsBackPhysically) {
 }
 
 TEST_F(EngineTest, AccCommitTwoSteps) {
+  AttachWal("engine_commit_two_steps.wal");
   TwoStepInc txn(this);
   ExecResult result =
       engine_->Execute(txn.program_, env_, ExecMode::kAccDecomposed);
@@ -142,17 +169,17 @@ TEST_F(EngineTest, AccCommitTwoSteps) {
   EXPECT_EQ(result.steps_completed, 2);
   EXPECT_EQ(ReadCounter(counter_a_), 1);
   EXPECT_EQ(ReadCounter(counter_b_), 1);
-  // Recovery log: begin, two end-of-step records, commit.
-  const auto records = engine_->recovery_log().Snapshot();
-  ASSERT_EQ(records.size(), 4u);
-  EXPECT_EQ(records[0].type, LogRecordType::kBegin);
-  EXPECT_EQ(records[1].type, LogRecordType::kEndOfStep);
-  EXPECT_EQ(records[2].type, LogRecordType::kEndOfStep);
-  EXPECT_EQ(records[3].type, LogRecordType::kCommit);
-  EXPECT_TRUE(engine_->recovery_log().FindInFlight().empty());
+  // The log: begin, two end-of-step records, commit.
+  const std::vector<WalRecord> records = CloseAndScanWal();
+  EXPECT_EQ(Types(records),
+            (std::vector<LogRecordType>{
+                LogRecordType::kBegin, LogRecordType::kEndOfStep,
+                LogRecordType::kEndOfStep, LogRecordType::kCommit}));
+  EXPECT_TRUE(FindInFlight(records).empty());
 }
 
 TEST_F(EngineTest, AccAbortBetweenStepsRunsCompensation) {
+  AttachWal("engine_abort_between_steps.wal");
   TwoStepInc txn(this);
   txn.abort_between_steps = true;
   ExecResult result =
@@ -162,7 +189,12 @@ TEST_F(EngineTest, AccAbortBetweenStepsRunsCompensation) {
   // Step 1 committed then was compensated: counter back to 0.
   EXPECT_EQ(ReadCounter(counter_a_), 0);
   EXPECT_EQ(ReadCounter(counter_b_), 0);
-  EXPECT_TRUE(engine_->recovery_log().FindInFlight().empty());
+  const std::vector<WalRecord> records = CloseAndScanWal();
+  EXPECT_EQ(Types(records),
+            (std::vector<LogRecordType>{LogRecordType::kBegin,
+                                        LogRecordType::kEndOfStep,
+                                        LogRecordType::kCompensated}));
+  EXPECT_TRUE(FindInFlight(records).empty());
 }
 
 TEST_F(EngineTest, AccVoluntaryAbortInFirstStepEvaporates) {
@@ -477,7 +509,8 @@ TEST_F(EngineTest, SerializableDeadlockRestartsAndCompletes) {
 TEST_F(EngineTest, CrashRecoveryCompensatesInFlight) {
   // Run step 1 of a two-step transaction, then "crash" (abandon the
   // execution mid-flight by never running step 2) and recover on a fresh
-  // engine over the same database.
+  // engine over the same database and the surviving WAL.
+  AttachWal("engine_crash.wal");
   sim::Simulation sim;
   SimExecutionEnv env(sim, nullptr);
   sim::Signal never(sim);
@@ -499,9 +532,12 @@ TEST_F(EngineTest, CrashRecoveryCompensatesInFlight) {
   sim.Run();  // Drains: the transaction is stuck mid-flight.
   EXPECT_EQ(ReadCounter(counter_a_), 1);
 
-  // Crash: volatile state lost, database + log survive.
-  RecoveryLog log = engine_->recovery_log();
-  Engine fresh(&db_, &resolver_, EngineConfig{});
+  // Crash: volatile state lost, database + WAL file survive.
+  EngineConfig config = config_;
+  config.wal.path = TempPath("engine_crash_surviving.wal");
+  WriteFileBytes(config.wal.path, ReadFileBytes(config_.wal.path));
+  Engine fresh(&db_, &resolver_, config);
+  ASSERT_NE(fresh.wal(), nullptr) << fresh.wal_status().ToString();
   CompensatorRegistry registry;
   Compensator comp;
   comp.comp_step_type = step_comp_;
@@ -511,10 +547,12 @@ TEST_F(EngineTest, CrashRecoveryCompensatesInFlight) {
   };
   registry.Register("two_step", comp);
   ImmediateEnv recovery_env;
-  RecoveryReport report = RunRecovery(fresh, log, registry, recovery_env);
+  RecoveryReport report =
+      RunRecovery(fresh, fresh.wal()->recovered(), registry, recovery_env);
   EXPECT_EQ(report.in_flight, 1);
   EXPECT_EQ(report.compensated, 1);
   EXPECT_EQ(ReadCounter(counter_a_), 0);
+  ::unlink(config.wal.path.c_str());
 }
 
 

@@ -1,11 +1,13 @@
 // Failure injection: transactions crash at random step boundaries while
-// normal traffic runs, then the system "crashes" (volatile state lost) and
-// recovery compensates every in-flight transaction. The database must end
-// consistent for every seed.
+// normal traffic runs, then the system "crashes" (volatile state lost; the
+// database and the WAL file survive) and recovery compensates every
+// in-flight transaction. The database must end consistent for every seed.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "acc/conflict_resolver.h"
@@ -15,6 +17,7 @@
 #include "common/rng.h"
 #include "sim/simulation.h"
 #include "storage/database.h"
+#include "test_files.h"
 #include "tpcc/consistency.h"
 #include "tpcc/loader.h"
 #include "tpcc/transactions.h"
@@ -89,7 +92,11 @@ TEST_P(FailureInjectionTest, RecoveryAfterMidFlightCrashes) {
   acc::AccConflictResolver resolver(&db.interference);
   acc::EngineConfig config;
   config.charge_acc_overheads = false;
+  config.wal.path = TempPath("failure_injection_" +
+                             std::to_string(GetParam()) + ".wal");
+  ::unlink(config.wal.path.c_str());
   auto engine = std::make_unique<acc::Engine>(&database, &resolver, config);
+  ASSERT_TRUE(engine->wal_status().ok()) << engine->wal_status().ToString();
 
   Rng rng(GetParam() * 31 + 7);
   InputGenConfig gen_config;
@@ -97,6 +104,7 @@ TEST_P(FailureInjectionTest, RecoveryAfterMidFlightCrashes) {
   InputGenerator gen(gen_config, rng.Next());
 
   int crashers = 0;
+  std::string surviving_wal;
   {
     sim::Simulation sim;
     sim::Signal crash_point(sim);
@@ -170,19 +178,22 @@ TEST_P(FailureInjectionTest, RecoveryAfterMidFlightCrashes) {
     // everything in flight.
     EXPECT_GE(sim.live_processes(), crashers)
         << engine->lock_manager().DumpWaiters();
+    // The crash: only what the WAL forced to disk survives.
+    surviving_wal = ReadFileBytes(config.wal.path);
   }
   ASSERT_GT(crashers, 0);
 
-  // Crash: discard everything volatile, keep the database and log.
-  acc::RecoveryLog log = engine->recovery_log();
+  // Discard everything volatile, keep the database and the WAL file.
   engine.reset();
+  WriteFileBytes(config.wal.path, surviving_wal);
 
   acc::Engine fresh(&database, &resolver, config);
+  ASSERT_NE(fresh.wal(), nullptr) << fresh.wal_status().ToString();
   acc::CompensatorRegistry registry;
   RegisterTpccCompensators(&db, &registry);
   acc::ImmediateEnv recovery_env;
-  acc::RecoveryReport report =
-      acc::RunRecovery(fresh, log, registry, recovery_env);
+  acc::RecoveryReport report = acc::RunRecovery(
+      fresh, fresh.wal()->recovered(), registry, recovery_env);
   EXPECT_GE(report.in_flight, crashers);
   EXPECT_EQ(report.compensated, report.in_flight);
   EXPECT_EQ(report.failed, 0) << report.first_error.ToString();
@@ -192,6 +203,7 @@ TEST_P(FailureInjectionTest, RecoveryAfterMidFlightCrashes) {
   EXPECT_TRUE(consistency.ok) << (consistency.violations.empty()
                                       ? ""
                                       : consistency.violations[0]);
+  ::unlink(config.wal.path.c_str());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "acc/conflict_resolver.h"
@@ -14,6 +16,7 @@
 #include "orderproc/transactions.h"
 #include "sim/simulation.h"
 #include "storage/database.h"
+#include "test_files.h"
 
 namespace accdb::orderproc {
 namespace {
@@ -365,6 +368,14 @@ TEST_F(OrderProcTest, ConcurrentCompensationReturnsStockLate) {
 }
 
 TEST_F(OrderProcTest, CrashRecoveryCompensatesPartialNewOrder) {
+  // The crashing engine logs to a WAL file; it outlives the simulation,
+  // whose teardown unwinds the stuck transaction through it.
+  EngineConfig config;
+  config.charge_acc_overheads = false;
+  config.wal.path = TempPath("orderproc_crash.wal");
+  ::unlink(config.wal.path.c_str());
+  Engine crashing(&db_, &acc_resolver_, config);
+  ASSERT_TRUE(crashing.wal_status().ok()) << crashing.wal_status().ToString();
   sim::Simulation sim;
   SimExecutionEnv env(sim, nullptr);
   sim::Signal crash_point(sim);
@@ -451,26 +462,31 @@ TEST_F(OrderProcTest, CrashRecoveryCompensatesPartialNewOrder) {
 
   TwoStepsThenHang hanging(&sys_, &sim, &crash_point);
   sim.Spawn("t", [&] {
-    (void)acc_engine_->Execute(hanging, env, ExecMode::kAccDecomposed);
+    (void)crashing.Execute(hanging, env, ExecMode::kAccDecomposed);
   });
   sim.Run();
   // Mid-flight: stock taken, order and one line present, I1 false.
   EXPECT_EQ(StockOf(1), 95);
   EXPECT_FALSE(sys_.CheckConsistency());
 
-  // Crash & recover on a fresh engine over the surviving database.
-  acc::RecoveryLog log = acc_engine_->recovery_log();
-  EngineConfig config;
-  config.charge_acc_overheads = false;
+  // Crash & recover on a fresh engine over the surviving database and the
+  // WAL bytes on disk.
+  const std::string crashed_wal = config.wal.path;
+  config.wal.path = TempPath("orderproc_crash_surviving.wal");
+  WriteFileBytes(config.wal.path, ReadFileBytes(crashed_wal));
   Engine fresh(&db_, &acc_resolver_, config);
+  ASSERT_NE(fresh.wal(), nullptr) << fresh.wal_status().ToString();
   acc::CompensatorRegistry registry;
   RegisterCompensators(&sys_, &registry);
   ImmediateEnv recovery_env;
-  acc::RecoveryReport report = RunRecovery(fresh, log, registry, recovery_env);
+  acc::RecoveryReport report =
+      RunRecovery(fresh, fresh.wal()->recovered(), registry, recovery_env);
   EXPECT_EQ(report.in_flight, 1);
   EXPECT_EQ(report.compensated, 1);
   EXPECT_EQ(StockOf(1), 100);
   EXPECT_TRUE(sys_.CheckConsistency());
+  ::unlink(crashed_wal.c_str());
+  ::unlink(config.wal.path.c_str());
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 // interleaving scenarios reproducing the paper's Section 5.1 claims.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <memory>
+#include <string>
 
 #include "acc/conflict_resolver.h"
 #include "acc/engine.h"
@@ -12,6 +14,7 @@
 #include "lock/conflict.h"
 #include "sim/simulation.h"
 #include "storage/database.h"
+#include "test_files.h"
 #include "tpcc/consistency.h"
 #include "tpcc/driver.h"
 #include "tpcc/loader.h"
@@ -245,6 +248,14 @@ TEST_F(InterleavingTest, OrderStatusWaitsForInFlightOrderOnly) {
 
 // Crash recovery across the three multi-step types.
 TEST_F(InterleavingTest, CrashRecoveryWithRegisteredCompensators) {
+  // The crashing engine logs to a WAL file; it outlives the simulation,
+  // whose teardown unwinds the stuck transaction through it.
+  acc::EngineConfig config;
+  config.charge_acc_overheads = false;
+  config.wal.path = TempPath("tpcc_integration_crash.wal");
+  ::unlink(config.wal.path.c_str());
+  acc::Engine crashing(&database_, &acc_resolver_, config);
+  ASSERT_TRUE(crashing.wal_status().ok()) << crashing.wal_status().ToString();
   sim::Simulation sim;
   acc::SimExecutionEnv env(sim, nullptr);
   sim::Signal never(sim);
@@ -295,7 +306,7 @@ TEST_F(InterleavingTest, CrashRecoveryWithRegisteredCompensators) {
   input.lines = {{1, 1}, {2, 1}, {3, 1}};
   HangingNewOrder hanging(&db_, input, &sim, &never);
   sim.Spawn("t", [&] {
-    (void)acc_engine_->Execute(hanging, env, ExecMode::kAccDecomposed);
+    (void)crashing.Execute(hanging, env, ExecMode::kAccDecomposed);
   });
   sim.Run();
 
@@ -304,16 +315,17 @@ TEST_F(InterleavingTest, CrashRecoveryWithRegisteredCompensators) {
   ASSERT_GT(o, 0);
   EXPECT_TRUE(db_.orders->LookupPk(Key(1, 5, o)).has_value());
 
-  // Crash and recover.
-  acc::RecoveryLog log = acc_engine_->recovery_log();
-  acc::EngineConfig config;
-  config.charge_acc_overheads = false;
+  // Crash and recover from the WAL bytes on disk.
+  const std::string crashed_wal = config.wal.path;
+  config.wal.path = TempPath("tpcc_integration_crash_surviving.wal");
+  WriteFileBytes(config.wal.path, ReadFileBytes(crashed_wal));
   acc::Engine fresh(&database_, &acc_resolver_, config);
+  ASSERT_NE(fresh.wal(), nullptr) << fresh.wal_status().ToString();
   acc::CompensatorRegistry registry;
   RegisterTpccCompensators(&db_, &registry);
   acc::ImmediateEnv recovery_env;
-  acc::RecoveryReport report =
-      acc::RunRecovery(fresh, log, registry, recovery_env);
+  acc::RecoveryReport report = acc::RunRecovery(
+      fresh, fresh.wal()->recovered(), registry, recovery_env);
   EXPECT_GE(report.in_flight, 1);
   EXPECT_EQ(report.compensated, report.in_flight);
   EXPECT_EQ(report.missing_compensator, 0);
@@ -324,6 +336,8 @@ TEST_F(InterleavingTest, CrashRecoveryWithRegisteredCompensators) {
   EXPECT_TRUE(consistency.ok) << (consistency.violations.empty()
                                       ? ""
                                       : consistency.violations[0]);
+  ::unlink(crashed_wal.c_str());
+  ::unlink(config.wal.path.c_str());
 }
 
 }  // namespace

@@ -1,15 +1,14 @@
 // End-to-end WAL crash recovery at the engine level: transactions crash at
 // step boundaries across TWO warehouse shards while normal traffic runs,
-// then every volatile structure is discarded — database, engine, in-memory
-// recovery log — and the WAL file is all that survives. Recovery reloads the
-// deterministic initial state, replays the WAL's redo in LSN order, rebuilds
-// the in-flight view, and runs the §3.4 compensators. The database must end
+// then every volatile structure is discarded — database, engine, lock and
+// undo state — and the WAL file is all that survives. Recovery reloads the
+// deterministic initial state, replays the WAL's redo in LSN order, finds
+// the in-flight transactions, and runs the §3.4 compensators. The database must end
 // consistent, with no failed or uncompensatable transactions.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "common/rng.h"
 #include "sim/simulation.h"
 #include "storage/database.h"
+#include "test_files.h"
 #include "tpcc/consistency.h"
 #include "tpcc/loader.h"
 #include "tpcc/transactions.h"
@@ -30,22 +30,6 @@ namespace accdb::tpcc {
 namespace {
 
 using acc::ExecMode;
-
-std::string WalPath(uint64_t seed) {
-  return ::testing::TempDir() + "accdb_wal_recovery_" + std::to_string(seed) +
-         ".wal";
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
 
 // Runs the inner new-order with a truncated line list so it stops cleanly at
 // a step boundary, then hangs at the crash point (as in the failure
@@ -105,7 +89,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WalRecoveryTest, ::testing::Values(3, 91));
 
 TEST_P(WalRecoveryTest, CrossShardCrashRecoversFromSurvivingWalOnly) {
   const uint64_t seed = GetParam();
-  const std::string wal_path = WalPath(seed);
+  const std::string wal_path =
+      TempPath("wal_recovery_" + std::to_string(seed) + ".wal");
   ::unlink(wal_path.c_str());
 
   ScaleConfig scale = ScaleConfig::Test();
@@ -215,7 +200,7 @@ TEST_P(WalRecoveryTest, CrossShardCrashRecoversFromSurvivingWalOnly) {
   WriteFileBytes(wal_path, surviving_wal);
 
   // Phase 2: a fresh process. Reload the deterministic initial state,
-  // replay the surviving WAL's redo, rebuild the in-flight view, compensate.
+  // replay the surviving WAL's redo, compensate the in-flight transactions.
   storage::Database database;
   TpccDb db(&database);
   LoadDatabase(db, scale, seed);
@@ -227,12 +212,11 @@ TEST_P(WalRecoveryTest, CrossShardCrashRecoversFromSurvivingWalOnly) {
   ASSERT_FALSE(wal->recovered().empty());
 
   ASSERT_TRUE(ReplayWal(database, wal->recovered()).ok());
-  acc::RecoveryLog log = acc::RebuildRecoveryLog(wal->recovered());
   acc::CompensatorRegistry registry;
   RegisterTpccCompensators(&db, &registry);
   acc::ImmediateEnv recovery_env;
   acc::RecoveryReport report =
-      acc::RunRecovery(*engine, log, registry, recovery_env);
+      acc::RunRecovery(*engine, wal->recovered(), registry, recovery_env);
   EXPECT_GE(report.in_flight, crashers);
   EXPECT_EQ(report.compensated, report.in_flight);
   EXPECT_EQ(report.failed, 0) << report.first_error.ToString();
@@ -253,8 +237,7 @@ TEST_P(WalRecoveryTest, CrossShardCrashRecoversFromSurvivingWalOnly) {
   reopen_options.path = wal_path;
   std::unique_ptr<acc::Wal> reopened = acc::Wal::Open(reopen_options, &status);
   ASSERT_NE(reopened, nullptr) << status.ToString();
-  acc::RecoveryLog after = acc::RebuildRecoveryLog(reopened->recovered());
-  EXPECT_TRUE(after.FindInFlight().empty());
+  EXPECT_TRUE(acc::FindInFlight(reopened->recovered()).empty());
 
   ::unlink(wal_path.c_str());
 }

@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,24 +14,10 @@
 #include "acc/wal.h"
 #include "common/record_file.h"
 #include "storage/value.h"
+#include "test_files.h"
 
 namespace accdb::acc {
 namespace {
-
-std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "accdb_wal_test_" + name;
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
 
 WalRecord SampleEndOfStep(lock::TxnId txn, int32_t step) {
   WalRecord rec;
@@ -106,6 +91,25 @@ TEST(WalCodecTest, RoundTripBeginAndCommit) {
   ExpectRecordsEqual(commit, decoded);
 }
 
+TEST(WalCodecTest, WalEncodePreservesLsnOrderThroughScan) {
+  // Encode a mixed batch, decode it back, and require the LSN sequence to
+  // survive verbatim — recovery replays redo strictly in this order.
+  std::vector<WalRecord> records(3);
+  records[0].type = LogRecordType::kBegin;
+  records[0].program = "delivery";
+  records[1] = SampleEndOfStep(4, 1);
+  records[2].type = LogRecordType::kCommit;
+  for (size_t i = 0; i < records.size(); ++i) {
+    records[i].txn = 4;
+    records[i].lsn = i + 1;
+  }
+  for (const WalRecord& rec : records) {
+    WalRecord decoded;
+    ASSERT_TRUE(DecodeWalRecord(EncodeWalRecord(rec), &decoded));
+    ExpectRecordsEqual(rec, decoded);
+  }
+}
+
 TEST(WalCodecTest, RejectsTruncatedAndPaddedPayloads) {
   const std::string payload = EncodeWalRecord(SampleEndOfStep(1, 1));
   WalRecord out;
@@ -117,7 +121,7 @@ TEST(WalCodecTest, RejectsTruncatedAndPaddedPayloads) {
 }
 
 TEST(WalTest, AppendAssignsDenseLsnsAndWaitDurableFlushes) {
-  const std::string path = TempPath("dense_lsn");
+  const std::string path = TempPath("wal_test_dense_lsn");
   ::unlink(path.c_str());
   Status status;
   std::unique_ptr<Wal> wal = Wal::Open({path, 0}, &status);
@@ -135,7 +139,7 @@ TEST(WalTest, AppendAssignsDenseLsnsAndWaitDurableFlushes) {
 }
 
 TEST(WalTest, ConcurrentAppendsStayDenseAndOrdered) {
-  const std::string path = TempPath("concurrent");
+  const std::string path = TempPath("wal_test_concurrent");
   ::unlink(path.c_str());
   Status status;
   std::unique_ptr<Wal> wal = Wal::Open({path, 100}, &status);
@@ -170,7 +174,7 @@ TEST(WalTest, ConcurrentAppendsStayDenseAndOrdered) {
 }
 
 TEST(WalTest, ReopenResumesLsnsAndReportsMaxTxn) {
-  const std::string path = TempPath("reopen");
+  const std::string path = TempPath("wal_test_reopen");
   ::unlink(path.c_str());
   Status status;
   std::unique_ptr<Wal> wal = Wal::Open({path, 0}, &status);
@@ -197,7 +201,7 @@ TEST(WalTest, ReopenResumesLsnsAndReportsMaxTxn) {
 }
 
 TEST(WalTest, GroupCommitWindowMakesCommitsDurable) {
-  const std::string path = TempPath("group_commit");
+  const std::string path = TempPath("wal_test_group_commit");
   ::unlink(path.c_str());
   Status status;
   std::unique_ptr<Wal> wal = Wal::Open({path, 200}, &status);
@@ -214,7 +218,7 @@ TEST(WalTest, GroupCommitWindowMakesCommitsDurable) {
 // recover the intact records, flag the torn tail, and truncate it away so
 // the next append starts from a clean boundary.
 TEST(WalTest, TornTailDetectedAtEveryByteOffsetOfLastRecord) {
-  const std::string path = TempPath("torn_tail");
+  const std::string path = TempPath("wal_test_torn_tail");
   ::unlink(path.c_str());
   Status status;
   std::unique_ptr<Wal> wal = Wal::Open({path, 0}, &status);
@@ -254,7 +258,7 @@ TEST(WalTest, TornTailDetectedAtEveryByteOffsetOfLastRecord) {
 }
 
 TEST(WalTest, IoErrorIsStickyAndFailStop) {
-  const std::string path = TempPath("io_error");
+  const std::string path = TempPath("wal_test_io_error");
   ::unlink(path.c_str());
   Status status;
   std::unique_ptr<Wal> wal = Wal::Open({path, 0}, &status);
@@ -284,7 +288,7 @@ TEST(WalTest, IoErrorIsStickyAndFailStop) {
 }
 
 TEST(WalTest, GroupCommitIoErrorWakesWaitersAndStopsFlusher) {
-  const std::string path = TempPath("io_error_group");
+  const std::string path = TempPath("wal_test_io_error_group");
   ::unlink(path.c_str());
   Status status;
   std::unique_ptr<Wal> wal = Wal::Open({path, 200}, &status);
@@ -304,7 +308,7 @@ TEST(WalTest, GroupCommitIoErrorWakesWaitersAndStopsFlusher) {
 }
 
 TEST(WalTest, CorruptedChecksumDropsTailRecord) {
-  const std::string path = TempPath("bad_crc");
+  const std::string path = TempPath("wal_test_bad_crc");
   ::unlink(path.c_str());
   Status status;
   std::unique_ptr<Wal> wal = Wal::Open({path, 0}, &status);
@@ -335,7 +339,7 @@ TEST(WalTest, CorruptedChecksumDropsTailRecord) {
 TEST(WalTest, ValidChecksumButGarbagePayloadIsAnError) {
   // A frame whose CRC matches but whose payload is not a WalRecord is
   // corruption the truncation rule must NOT paper over: Open fails.
-  const std::string path = TempPath("garbage_payload");
+  const std::string path = TempPath("wal_test_garbage_payload");
   ::unlink(path.c_str());
   std::string bytes;
   AppendFrame(&bytes, "definitely not a wal record");
@@ -350,7 +354,7 @@ TEST(WalTest, ValidChecksumButGarbagePayloadIsAnError) {
 TEST(WalTest, LsnGapInFileIsAnError) {
   // Two well-formed records whose LSNs skip 2: the log is not a dense
   // prefix, so Open must refuse rather than replay around the hole.
-  const std::string path = TempPath("lsn_gap");
+  const std::string path = TempPath("wal_test_lsn_gap");
   ::unlink(path.c_str());
   WalRecord first = SampleEndOfStep(1, 1);
   first.lsn = 1;
