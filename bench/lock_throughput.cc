@@ -26,7 +26,9 @@
 //
 // Flags (own parser, rt_tpcc style):
 //   --threads=1,2,4,8      worker-thread sweep
-//   --partitions=1,4,16,64 lock-table partition sweep (0 = auto)
+//   --partitions=1,4,16,64,1024
+//                          lock-table partition sweep (0 = the default,
+//                          1024)
 //   --seconds=S            measured window per cell (default 0.5)
 //   --items-per-txn=N      locks acquired per txn, uncontended (default 8)
 //   --json=PATH | --no-json  report destination
@@ -59,7 +61,7 @@ using accdb::lock::TxnId;
 
 struct Options {
   std::vector<int> threads = {1, 2, 4, 8};
-  std::vector<size_t> partitions = {1, 4, 16, 64};
+  std::vector<size_t> partitions = {1, 4, 16, 64, 1024};
   double seconds = 0.5;
   int items_per_txn = 8;
   std::string json_path = "BENCH_lock_throughput.json";
@@ -67,7 +69,7 @@ struct Options {
 
 [[noreturn]] void Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--threads=1,2,4,8] [--partitions=1,4,16,64]\n"
+               "usage: %s [--threads=1,2,4,8] [--partitions=1,4,16,64,1024]\n"
                "          [--seconds=S] [--items-per-txn=N]\n"
                "          [--json=PATH | --no-json]\n",
                argv0);

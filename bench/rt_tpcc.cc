@@ -24,8 +24,9 @@
 //   --seed=N               workload seed (default 20250806)
 //   --cost-scale=F         scales modeled statement costs (default 1)
 //   --think-scale=F        scales keying/think times (default 0: saturated)
-//   --lock-partitions=N    lock-table partitions (0 = auto; falls back to
-//                          the ACCDB_LOCK_PARTITIONS environment variable)
+//   --lock-partitions=N    lock-table partitions (0 = the default, 1024;
+//                          falls back to the ACCDB_LOCK_PARTITIONS
+//                          environment variable)
 //   --audit                re-evaluate interstep assertion predicates at
 //                          their contract points (EngineConfig::
 //                          audit_assertions); exits nonzero if any predicate
@@ -56,7 +57,7 @@ struct RtOptions {
   uint64_t seed = 20250806;
   double cost_scale = 1.0;
   double think_scale = 0.0;
-  size_t lock_partitions = 0;  // 0 = auto.
+  size_t lock_partitions = 0;  // 0 = the default (1024).
   bool affinity = true;
   uint32_t txn_id_block = accdb::acc::TxnIdAllocator::kDefaultBlock;
   std::string wal_path;
@@ -213,7 +214,7 @@ int main(int argc, char** argv) {
   const size_t resolved_partitions =
       lock::LockManager::ResolvePartitionCount(options.lock_partitions);
   std::printf("lock partitions: %zu%s\n", resolved_partitions,
-              options.lock_partitions == 0 ? " (auto)" : "");
+              options.lock_partitions == 0 ? " (default)" : "");
 
   report.root()["environment"] = Json("real-thread");
   report.root()["measured_seconds"] = Json(options.seconds);

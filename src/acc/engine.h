@@ -94,7 +94,7 @@ struct EngineConfig {
   // time. Off by default (the audit reads rows outside the modeled cost);
   // a no-op unless set_assertion_auditor was called.
   bool audit_assertions = false;
-  // Lock-table partitions (0 = auto: next_pow2(2 × hardware threads)).
+  // Lock-table partitions (0 = the default, 1024).
   // Single-threaded simulation results are identical for any value; the
   // real-thread runtime scales with it. See LockManagerOptions::partitions.
   size_t lock_partitions = 0;

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
 #include "common/string_util.h"
 #include "lock/wait_for_graph.h"
@@ -36,8 +35,9 @@ bool IsConventional(LockMode mode) {
   return mode != LockMode::kAssert && mode != LockMode::kComp;
 }
 
-// Retained capacity of fully released items (per partition pool).
-constexpr size_t kItemPoolCap = 256;
+// Partitions when none are requested, and the most ever used: sized for the
+// item table, not the host (see the header comment).
+constexpr size_t kMaxPartitions = 1024;
 
 }  // namespace
 
@@ -64,13 +64,8 @@ void LockManager::Stats::MergeFrom(const Stats& other) {
 }
 
 size_t LockManager::ResolvePartitionCount(size_t requested) {
-  size_t n = requested;
-  if (n == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0) hw = 4;  // Unknown topology: a small sensible default.
-    n = 2 * static_cast<size_t>(hw);
-  }
-  n = std::min<size_t>(std::max<size_t>(n, 1), 1024);
+  const size_t n =
+      requested == 0 ? kMaxPartitions : std::min(requested, kMaxPartitions);
   size_t pow2 = 1;
   while (pow2 < n) pow2 <<= 1;
   return pow2;
@@ -182,26 +177,10 @@ bool LockManager::ConflictsWithWaiters(const ItemState& state,
   return false;
 }
 
-LockManager::ItemState& LockManager::EnsureItem(Partition& part, ItemId item) {
-  auto [it, inserted] = part.items.try_emplace(item);
-  if (inserted) {
-    if (!part.pool.empty()) {
-      it->second = std::move(part.pool.back());
-      part.pool.pop_back();
-    } else {
-      it->second.holders.reserve(4);
-    }
-  }
-  return it->second;
-}
-
-void LockManager::MaybeRecycleItem(Partition& part, ItemId item) {
+void LockManager::MaybeEraseItem(Partition& part, ItemId item) {
   auto it = part.items.find(item);
   if (it == part.items.end()) return;
   if (!it->second.holders.empty() || !it->second.queue.empty()) return;
-  if (part.pool.size() < kItemPoolCap) {
-    part.pool.push_back(std::move(it->second));
-  }
   part.items.erase(it);
 }
 
@@ -288,7 +267,7 @@ Outcome LockManager::Request(TxnId txn, ItemId item, LockMode mode,
   Partition& part = PartitionOf(item);
   std::unique_lock<std::mutex> part_guard(part.mu);
   ++part.stats.requests;
-  ItemState& state = EnsureItem(part, item);
+  ItemState& state = part.items[item];
 
   // Compensation marker locks never conflict and never wait.
   if (mode == LockMode::kComp) {
@@ -445,7 +424,7 @@ void LockManager::GrantUnconditional(TxnId txn, ItemId item, LockMode mode,
   {
     std::lock_guard<std::mutex> part_guard(part.mu);
     ++part.stats.unconditional_grants;
-    ItemState& state = EnsureItem(part, item);
+    ItemState& state = part.items[item];
     InstallHolder(state, item, txn, mode, std::move(ctx));
     if (!state.queue.empty()) {
       // The new holder may block existing waiters of this item, creating
@@ -527,7 +506,7 @@ void LockManager::AbortWaiterForDeadlock(TxnId victim) {
       waiting_count_.store(waiting_.size(), std::memory_order_relaxed);
       auto item_it = part.items.find(item);
       assert(item_it != part.items.end());
-      std::deque<Waiter>& queue = item_it->second.queue;
+      std::vector<Waiter>& queue = item_it->second.queue;
       for (auto qit = queue.begin(); qit != queue.end(); ++qit) {
         if (qit->txn == victim) {
           queue.erase(qit);
@@ -608,8 +587,8 @@ void LockManager::ProcessQueueLocked(Partition& part, ItemId item) {
     RepublishItemWaitersLocked(state, item);
   }
 
-  // Recycle fully released items before the listener runs (it may reenter).
-  MaybeRecycleItem(part, item);
+  // Erase fully released items before the listener runs (it may reenter).
+  MaybeEraseItem(part, item);
 
   if (listener_ != nullptr) {
     for (TxnId txn : granted) listener_->OnGranted(txn);
@@ -777,7 +756,7 @@ void LockManager::CancelWaiter(TxnId txn) {
       waiting_count_.store(waiting_.size(), std::memory_order_relaxed);
       auto item_it = part.items.find(item);
       assert(item_it != part.items.end());
-      std::deque<Waiter>& queue = item_it->second.queue;
+      std::vector<Waiter>& queue = item_it->second.queue;
       for (auto qit = queue.begin(); qit != queue.end(); ++qit) {
         if (qit->txn == txn) {
           queue.erase(qit);
@@ -911,6 +890,15 @@ uint64_t LockManager::PartitionReleaseVisitsForTest(size_t partition) const {
   const Partition& part = *partitions_.at(partition);
   std::lock_guard<std::mutex> guard(part.mu);
   return part.release_visits;
+}
+
+size_t LockManager::ItemCountForTest() const {
+  size_t count = 0;
+  for (const auto& part : partitions_) {
+    std::lock_guard<std::mutex> guard(part->mu);
+    count += part->items.size();
+  }
+  return count;
 }
 
 std::string LockManager::DumpWaiters() const {

@@ -25,9 +25,9 @@
 //
 // Thread safety — two-tier latching. The item table is hash-partitioned
 // over ItemId: each partition owns its items (holder vectors + FIFO
-// queues), its ItemState recycling pool and a stats shard, all guarded by
-// one per-partition latch. Grants, releases and conversions that find no
-// conflict touch only the partition latch of the item involved — the hot
+// queues) and a stats shard, all guarded by one per-partition latch.
+// Grants, releases and conversions that find no conflict touch only the
+// partition latch of the item involved — the hot
 // path is embarrassingly parallel across partitions. Waiting is the slow
 // path: a request that must queue additionally takes the global wait-tier
 // latch, which owns the waits-for relation. The waits-for edges are
@@ -37,7 +37,11 @@
 // alone, never needing to latch other partitions (latch order: partition
 // before wait tier, never reversed; see DESIGN.md §10). The per-transaction
 // holder index lives in a striped transaction directory so ReleaseAll
-// visits only the partitions the index names.
+// visits only the partitions the index names. The partition count is
+// sized for the item table, not for the host: ACC takes and drops many
+// short step locks per transaction, so the default of 1024 partitions
+// keeps them from meeting on a latch at any thread count, and the layout
+// is the same on every machine.
 //
 // Listener callbacks are invoked while the partition latch of the item that
 // produced them is held (happens-before for the grant hand-off); they must
@@ -52,7 +56,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -67,9 +70,9 @@
 namespace accdb::lock {
 
 struct LockManagerOptions {
-  // Number of lock-table partitions. 0 = auto: next_pow2(2 × hardware
-  // threads). Values are rounded up to a power of two and clamped to
-  // [1, 1024]. One partition reproduces the single-latch manager.
+  // Number of lock-table partitions. 0 = the default, 1024. Values are
+  // rounded up to a power of two and clamped to [1, 1024]. One partition
+  // reproduces the single-latch manager.
   size_t partitions = 0;
 
   // Test-only override of the ItemId -> partition mapping (e.g. to pin a
@@ -150,7 +153,7 @@ class LockManager {
 
   void set_listener(Listener* listener) { listener_ = listener; }
 
-  // The partition count `requested` resolves to (0 = auto sizing).
+  // The partition count `requested` resolves to (0 = the default, 1024).
   static size_t ResolvePartitionCount(size_t requested);
 
   size_t partition_count() const { return partitions_.size(); }
@@ -242,6 +245,9 @@ class LockManager {
   // Number of release-path visits (latch acquisitions) this partition has
   // seen, for asserting that releases never touch foreign partitions.
   uint64_t PartitionReleaseVisitsForTest(size_t partition) const;
+  // Number of items in the item table, over all partitions (a fully
+  // released item must leave nothing behind).
+  size_t ItemCountForTest() const;
 
  private:
   struct Holder {
@@ -259,7 +265,7 @@ class LockManager {
 
   struct ItemState {
     std::vector<Holder> holders;
-    std::deque<Waiter> queue;
+    std::vector<Waiter> queue;
   };
 
   // Per-(transaction, item) summary of what the transaction holds there.
@@ -287,24 +293,20 @@ class LockManager {
     std::unordered_map<ItemId, HeldEntry, ItemIdHash> held_items;
   };
 
-  // One stripe of the item table: items, their recycling pool and a stats
-  // shard, all owned by `mu`.
-  struct Partition {
+  // One stripe of the item table: items and a stats shard, both owned by
+  // `mu`. Cache-line aligned so neighbouring latches do not share a line.
+  struct alignas(64) Partition {
     mutable std::mutex mu;
     std::unordered_map<ItemId, ItemState, ItemIdHash> items;
-    // Fully released ItemStates waiting for reuse: recycling keeps the
-    // holder vector / waiter deque capacity instead of re-allocating it on
-    // the next lock of a cold item, and keeps the map from accumulating
-    // empty buckets.
-    std::vector<ItemState> pool;
     Stats stats;
     // Test-only: release-path visits (ReleaseConventional/ReleaseAssertion/
     // ReleaseAll latching this partition to drop holders).
     uint64_t release_visits = 0;
   };
 
-  // One stripe of the per-transaction holder-index directory.
-  struct TxnStripe {
+  // One stripe of the per-transaction holder-index directory. Cache-line
+  // aligned: the stripes sit side by side in one array.
+  struct alignas(64) TxnStripe {
     mutable std::mutex mu;
     std::unordered_map<TxnId, TxnState> txns;
   };
@@ -360,12 +362,9 @@ class LockManager {
   void InstallHolder(ItemState& state, ItemId item, TxnId txn, LockMode mode,
                      RequestContext ctx);
 
-  // Looks up or creates the item's state. Requires the partition latch.
-  ItemState& EnsureItem(Partition& part, ItemId item);
-
-  // Returns a fully released item's state to the recycling pool. No-op
-  // while anything is still held or queued. Requires the partition latch.
-  void MaybeRecycleItem(Partition& part, ItemId item);
+  // Erases a fully released item from the table. No-op while anything is
+  // still held or queued. Requires the partition latch.
+  void MaybeEraseItem(Partition& part, ItemId item);
 
   // Direct blockers of the waiter at queue position `pos`: conflicting
   // holders in holder order, then (for non-upgrades) conflicting earlier

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "lock/conflict.h"
@@ -548,9 +549,9 @@ TEST_F(LockManagerTest, IndexConsistentThroughDeadlockAbort) {
   EXPECT_TRUE(lm_.CheckIndexConsistency(&violation)) << violation;
 }
 
-TEST_F(LockManagerTest, ItemSlotRecyclingKeepsSemantics) {
-  // Drain an item completely, then reuse it: the recycled slot must not
-  // leak holders, queue entries, or stale index state.
+TEST_F(LockManagerTest, ItemSlotReuseKeepsSemantics) {
+  // Drain an item completely, then lock it again: the fresh slot must not
+  // inherit holders, queue entries, or stale index state.
   for (int round = 0; round < 3; ++round) {
     EXPECT_EQ(Req(1, item_, LockMode::kX), Outcome::kGranted);
     EXPECT_EQ(Req(2, item_, LockMode::kS), Outcome::kWaiting);
@@ -560,6 +561,34 @@ TEST_F(LockManagerTest, ItemSlotRecyclingKeepsSemantics) {
     EXPECT_EQ(lm_.HolderCount(item_), 0u);
     EXPECT_EQ(lm_.QueueLength(item_), 0u);
   }
+  std::string violation;
+  EXPECT_TRUE(lm_.CheckIndexConsistency(&violation)) << violation;
+}
+
+TEST_F(LockManagerTest, FullyReleasedItemsLeaveNothingBehind) {
+  // Conventional, assertional and kComp locks (plus a queued waiter) on
+  // many distinct items: once every transaction has released, the item
+  // table is empty — nothing is retained per released item.
+  RequestContext actx;
+  actx.assertion = 1;
+  for (int64_t row = 0; row < 2000; ++row) {
+    const ItemId item = ItemId::Row(1, row);
+    EXPECT_EQ(Req(1, item, LockMode::kX), Outcome::kGranted);
+    lm_.GrantUnconditional(1, item, LockMode::kAssert, actx);
+    lm_.GrantUnconditional(2, item, LockMode::kComp, {});
+  }
+  EXPECT_EQ(Req(3, ItemId::Row(1, 0), LockMode::kS), Outcome::kWaiting);
+  EXPECT_EQ(lm_.ItemCountForTest(), 2000u);
+
+  lm_.ReleaseConventional(1);
+  lm_.ReleaseAssertion(1, actx.assertion, actx.assertion_instance);
+  EXPECT_EQ(lm_.HeldItemCount(1), 0u);
+  EXPECT_EQ(lm_.ItemCountForTest(), 2000u);  // Txn 2's kComp marks remain.
+  lm_.ReleaseAll(2);
+  EXPECT_TRUE(lm_.Holds(3, ItemId::Row(1, 0), LockMode::kS));
+  EXPECT_EQ(lm_.ItemCountForTest(), 1u);
+  lm_.ReleaseAll(3);
+  EXPECT_EQ(lm_.ItemCountForTest(), 0u);
   std::string violation;
   EXPECT_TRUE(lm_.CheckIndexConsistency(&violation)) << violation;
 }

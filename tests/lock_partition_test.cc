@@ -66,11 +66,11 @@ TEST_F(LockPartitionTest, PartitionPinningAndResolution) {
   // The override wraps modulo the partition count.
   EXPECT_EQ(lm_.PartitionIndex(ItemId::Row(1, 9)), 1u);
 
-  // Auto / rounding behaviour of the partition count itself.
+  // Default / rounding behaviour of the partition count itself.
   EXPECT_EQ(LockManager::ResolvePartitionCount(1), 1u);
   EXPECT_EQ(LockManager::ResolvePartitionCount(3), 4u);
   EXPECT_EQ(LockManager::ResolvePartitionCount(64), 64u);
-  EXPECT_GE(LockManager::ResolvePartitionCount(0), 2u);
+  EXPECT_EQ(LockManager::ResolvePartitionCount(0), 1024u);
 }
 
 // A two-member cycle whose items live on different partitions: the
