@@ -72,29 +72,59 @@ Engine::Engine(storage::Database* db, const lock::ConflictResolver* resolver,
   }
 }
 
-void Engine::OnGranted(lock::TxnId txn) {
-  std::lock_guard<std::mutex> guard(env_mu_);
-  auto it = txn_envs_.find(txn);
-  if (it != txn_envs_.end()) it->second->LockGranted(txn);
+size_t ExecutionEnv::MetricsShard() const {
+  static std::atomic<size_t> next_thread{0};
+  thread_local const size_t thread_ordinal =
+      next_thread.fetch_add(1, std::memory_order_relaxed);
+  return thread_ordinal;
 }
 
-void Engine::OnWaiterAborted(lock::TxnId txn) {
-  std::lock_guard<std::mutex> guard(env_mu_);
-  auto it = txn_envs_.find(txn);
-  if (it != txn_envs_.end()) it->second->LockAborted(txn);
+void Engine::OnGranted(lock::TxnId txn, void* tag) {
+  if (tag != nullptr) static_cast<ExecutionEnv*>(tag)->LockGranted(txn);
 }
 
-void Engine::AuditAssertion(const AssertionInstance& instance) {
+void Engine::OnWaiterAborted(lock::TxnId txn, void* tag) {
+  if (tag != nullptr) static_cast<ExecutionEnv*>(tag)->LockAborted(txn);
+}
+
+EngineMetrics Engine::MetricsSnapshot() const {
+  EngineMetrics merged;
+  for (LatchedMetrics& shard : metrics_shards_) {
+    std::lock_guard<std::mutex> guard(shard.mu);
+    const EngineMetrics& m = shard.metrics;
+    merged.step_latency.Merge(m.step_latency);
+    merged.txn_latency.Merge(m.txn_latency);
+    merged.lock_wait.Merge(m.lock_wait);
+    merged.assertions_audited += m.assertions_audited;
+    merged.assertion_violations += m.assertion_violations;
+    if (merged.first_assertion_violation.empty()) {
+      merged.first_assertion_violation = m.first_assertion_violation;
+    }
+  }
+  return merged;
+}
+
+void Engine::ResetMetrics() {
+  for (LatchedMetrics& shard : metrics_shards_) {
+    std::lock_guard<std::mutex> guard(shard.mu);
+    shard.metrics = EngineMetrics{};
+  }
+}
+
+void Engine::AuditAssertion(const AssertionInstance& instance,
+                            const ExecutionEnv& env) {
   if (!config_.audit_assertions || !auditor_ || instance.empty()) return;
   std::string detail;
   AuditVerdict verdict = auditor_(instance, &detail);
   if (verdict == AuditVerdict::kNotChecked) return;
-  std::lock_guard<std::mutex> guard(metrics_mu_);
-  ++metrics_.assertions_audited;
+  LatchedMetrics& shard = ShardFor(env);
+  std::lock_guard<std::mutex> guard(shard.mu);
+  EngineMetrics& metrics = shard.metrics;
+  ++metrics.assertions_audited;
   if (verdict == AuditVerdict::kViolated) {
-    ++metrics_.assertion_violations;
-    if (metrics_.first_assertion_violation.empty()) {
-      metrics_.first_assertion_violation = std::move(detail);
+    ++metrics.assertion_violations;
+    if (metrics.first_assertion_violation.empty()) {
+      metrics.first_assertion_violation = std::move(detail);
     }
   }
 }
@@ -112,10 +142,11 @@ ExecResult Engine::Execute(TransactionProgram& program, ExecutionEnv& env,
   // Measured across every restart: the latency a client of this execution
   // would observe. Recorded only on normal completion (not teardown unwind).
   const double exec_start = env.Now();
-  auto record_txn_latency = [&] { RecordTxnLatency(env.Now() - exec_start); };
+  auto record_txn_latency = [&] {
+    RecordTxnLatency(env, env.Now() - exec_start);
+  };
   for (int attempt = 0;; ++attempt) {
     lock::TxnId txn = NextTxnId();
-    BindEnv(txn, &env);
     TxnContext ctx(this, &program, &env, txn, mode, analyzed);
 
     Status status;
@@ -142,7 +173,6 @@ ExecResult Engine::Execute(TransactionProgram& program, ExecutionEnv& env,
         // already rolled back the in-flight step and the committed steps
         // await compensation by recovery.
         if (mode != ExecMode::kAccDecomposed) ctx.PhysicalRollbackAll();
-        UnbindEnv(txn);
         throw;
       }
     }
@@ -185,7 +215,6 @@ ExecResult Engine::Execute(TransactionProgram& program, ExecutionEnv& env,
         commit_lsn = wal_->Append(std::move(rec));
       }
       ctx.FinishCommit();
-      UnbindEnv(txn);
       // Any transaction that read our writes logs behind us — 2PL/MVCC
       // append before the locks release above, OCC appends under the
       // commit mutex — and durability is prefix-ordered, so a dependent
@@ -219,7 +248,6 @@ ExecResult Engine::Execute(TransactionProgram& program, ExecutionEnv& env,
             },
             std::string(program.name()));
         ctx.ReleaseLocks();
-        UnbindEnv(txn);
         if (!comp.ok()) {
           // A compensation that cannot complete is a programming error in
           // the workload (its semantic undo must always be executable);
@@ -262,7 +290,6 @@ ExecResult Engine::Execute(TransactionProgram& program, ExecutionEnv& env,
         wal_->Append(std::move(rec));
       }
       ctx.ReleaseLocks();
-      UnbindEnv(txn);
       if (status.code() == StatusCode::kDeadlock &&
           attempt < config_.txn_restart_limit) {
         ++result.txn_restarts;
@@ -277,7 +304,6 @@ ExecResult Engine::Execute(TransactionProgram& program, ExecutionEnv& env,
     // writes never left its buffer); restart on deadlock — which is also
     // how an OCC validation failure arrives here.
     ctx.PhysicalRollbackAll();
-    UnbindEnv(txn);
     if (status.code() == StatusCode::kDeadlock &&
         attempt < config_.txn_restart_limit) {
       ++result.txn_restarts;
@@ -308,7 +334,6 @@ Status Engine::ExecuteCompensation(
 
   RecoveryShell shell(program_name);
   lock::TxnId txn = NextTxnId();
-  BindEnv(txn, &env);
   TxnContext ctx(this, &shell, &env, txn, ExecMode::kAccDecomposed,
                  /*analyzed=*/true);
   Status status = ctx.RunCompensation(comp_step_type, std::move(comp_keys),
@@ -331,7 +356,6 @@ Status Engine::ExecuteCompensation(
     }
   }
   ctx.ReleaseLocks();
-  UnbindEnv(txn);
   return status;
 }
 

@@ -14,6 +14,7 @@
 #ifndef ACCDB_ACC_ENGINE_H_
 #define ACCDB_ACC_ENGINE_H_
 
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <functional>
@@ -23,7 +24,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "acc/program.h"
@@ -236,6 +236,13 @@ class ExecutionEnv {
   // Lock-manager notifications, routed by the engine.
   virtual void LockGranted(lock::TxnId txn) = 0;
   virtual void LockAborted(lock::TxnId txn) = 0;
+
+  // Which of the engine's metric shards executions on this env record
+  // into (reduced modulo the shard count). The default is one shard per OS
+  // thread, so concurrent workers never share a metrics latch.
+  // Environments whose executions interleave on one logical timeline must
+  // return a constant, so that their samples accumulate in event order.
+  virtual size_t MetricsShard() const;
 };
 
 // Environment for single-threaded execution: there is no concurrency, so no
@@ -274,9 +281,9 @@ struct ExecResult {
 
 // Latency distributions aggregated across every execution the engine runs,
 // measured on the ExecutionEnv clock. Recorded through the engine's
-// Record* helpers, which latch a metrics mutex so real-thread workers can
-// report concurrently; read via metrics() only at quiescence (between sim
-// runs / after workers join) or via MetricsSnapshot().
+// Record* helpers into the recording env's shard (ExecutionEnv::
+// MetricsShard), so real-thread workers report without sharing a latch;
+// read through MetricsSnapshot(), which merges the shards.
 struct EngineMetrics {
   // Successfully completed steps (forward and compensating), end to end
   // including their lock waits.
@@ -332,22 +339,23 @@ class Engine : public lock::LockManager::Listener {
   const Wal* wal() const { return wal_.get(); }
   const Status& wal_status() const { return wal_status_; }
   const EngineConfig& config() const { return config_; }
-  // Quiescent access only (no concurrent executions in flight).
-  EngineMetrics& metrics() { return metrics_; }
-  const EngineMetrics& metrics() const { return metrics_; }
 
-  // Race-free metric recording (used by TxnContext and Execute).
-  void RecordStepLatency(double seconds) {
-    std::lock_guard<std::mutex> guard(metrics_mu_);
-    metrics_.step_latency.Add(seconds);
+  // Race-free metric recording into `env`'s shard (used by TxnContext and
+  // Execute).
+  void RecordStepLatency(const ExecutionEnv& env, double seconds) {
+    LatchedMetrics& shard = ShardFor(env);
+    std::lock_guard<std::mutex> guard(shard.mu);
+    shard.metrics.step_latency.Add(seconds);
   }
-  void RecordTxnLatency(double seconds) {
-    std::lock_guard<std::mutex> guard(metrics_mu_);
-    metrics_.txn_latency.Add(seconds);
+  void RecordTxnLatency(const ExecutionEnv& env, double seconds) {
+    LatchedMetrics& shard = ShardFor(env);
+    std::lock_guard<std::mutex> guard(shard.mu);
+    shard.metrics.txn_latency.Add(seconds);
   }
-  void RecordLockWait(double seconds) {
-    std::lock_guard<std::mutex> guard(metrics_mu_);
-    metrics_.lock_wait.Add(seconds);
+  void RecordLockWait(const ExecutionEnv& env, double seconds) {
+    LatchedMetrics& shard = ShardFor(env);
+    std::lock_guard<std::mutex> guard(shard.mu);
+    shard.metrics.lock_wait.Add(seconds);
   }
 
   // Installs the runtime assertion auditor (spec::SpecRegistry::
@@ -359,30 +367,39 @@ class Engine : public lock::LockManager::Listener {
   }
   // Re-evaluates `instance` through the installed auditor (no-op without
   // one, with auditing disabled, or for the empty assertion) and records
-  // the verdict. Called by TxnContext wherever an interstep assertion is
-  // claimed to hold; the caller holds the step's locks, so a sound table
-  // makes the read race-free with respect to same-instance writers.
-  void AuditAssertion(const AssertionInstance& instance);
-  // Consistent copy while executions may still be in flight.
-  EngineMetrics MetricsSnapshot() const {
-    std::lock_guard<std::mutex> guard(metrics_mu_);
-    return metrics_;
-  }
+  // the verdict in `env`'s shard. Called by TxnContext wherever an
+  // interstep assertion is claimed to hold; the caller holds the step's
+  // locks, so a sound table makes the read race-free with respect to
+  // same-instance writers.
+  void AuditAssertion(const AssertionInstance& instance,
+                      const ExecutionEnv& env);
+  // The shards merged, in shard order (safe while executions are in
+  // flight; latches each shard in turn). The first assertion violation is
+  // the first shard's that has one.
+  EngineMetrics MetricsSnapshot() const;
   // Discards everything recorded so far (warmup boundary in the real-thread
   // runner).
-  void ResetMetrics() {
-    std::lock_guard<std::mutex> guard(metrics_mu_);
-    metrics_ = EngineMetrics{};
-  }
+  void ResetMetrics();
 
-  // lock::LockManager::Listener:
-  void OnGranted(lock::TxnId txn) override;
-  void OnWaiterAborted(lock::TxnId txn) override;
+  // lock::LockManager::Listener. Waiters queue with their ExecutionEnv as
+  // the tag; a null tag (a request made outside Execute) is not routed.
+  void OnGranted(lock::TxnId txn, void* tag) override;
+  void OnWaiterAborted(lock::TxnId txn, void* tag) override;
 
  private:
   friend class TxnContext;
 
+  static constexpr size_t kMetricsShards = 16;
+  // One shard of EngineMetrics with its latch, on its own cache lines.
+  struct alignas(64) LatchedMetrics {
+    std::mutex mu;
+    EngineMetrics metrics;
+  };
+
   lock::TxnId NextTxnId() { return txn_ids_.Next(); }
+  LatchedMetrics& ShardFor(const ExecutionEnv& env) {
+    return metrics_shards_[env.MetricsShard() % kMetricsShards];
+  }
 
   storage::Database* db_;
   EngineConfig config_;
@@ -393,23 +410,7 @@ class Engine : public lock::LockManager::Listener {
   Status wal_status_;
   AssertionAuditor auditor_;
   TxnIdAllocator txn_ids_;
-  mutable std::mutex metrics_mu_;
-  EngineMetrics metrics_;
-  // Routes lock notifications to the env of the owning execution. The map
-  // is latched by env_mu_; the listener callbacks run with the lock
-  // manager's latch held, so the lock order is LM latch -> env_mu_ -> env
-  // internals, and no path takes them in reverse.
-  std::mutex env_mu_;
-  std::unordered_map<lock::TxnId, ExecutionEnv*> txn_envs_;
-
-  void BindEnv(lock::TxnId txn, ExecutionEnv* env) {
-    std::lock_guard<std::mutex> guard(env_mu_);
-    txn_envs_[txn] = env;
-  }
-  void UnbindEnv(lock::TxnId txn) {
-    std::lock_guard<std::mutex> guard(env_mu_);
-    txn_envs_.erase(txn);
-  }
+  mutable std::array<LatchedMetrics, kMetricsShards> metrics_shards_;
 };
 
 }  // namespace accdb::acc

@@ -27,9 +27,8 @@ Interference InterferenceTable::GetRaw(lock::ActorId actor,
 }
 
 bool InterferenceTable::Interferes(
-    lock::ActorId actor, const std::vector<int64_t>& actor_keys,
-    lock::AssertionId assertion,
-    const std::vector<int64_t>& assertion_keys) const {
+    lock::ActorId actor, const lock::KeyList& actor_keys,
+    lock::AssertionId assertion, const lock::KeyList& assertion_keys) const {
   switch (Get(actor, assertion)) {
     case Interference::kNone:
       return false;

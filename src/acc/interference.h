@@ -26,7 +26,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "acc/catalog.h"
 #include "lock/types.h"
@@ -67,9 +66,9 @@ class InterferenceTable {
   // malformed — the check falls back to conservative interference instead
   // of trusting the comparison. Without a catalog the historical
   // common-prefix behaviour is kept.
-  bool Interferes(lock::ActorId actor, const std::vector<int64_t>& actor_keys,
+  bool Interferes(lock::ActorId actor, const lock::KeyList& actor_keys,
                   lock::AssertionId assertion,
-                  const std::vector<int64_t>& assertion_keys) const;
+                  const lock::KeyList& assertion_keys) const;
 
   void set_key_refinement(bool enabled) { key_refinement_ = enabled; }
   bool key_refinement() const { return key_refinement_; }

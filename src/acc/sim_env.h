@@ -41,6 +41,11 @@ class SimExecutionEnv : public ExecutionEnv {
   void LockGranted(lock::TxnId txn) override;
   void LockAborted(lock::TxnId txn) override;
 
+  // Every sim process runs on its own OS thread, but all of them share one
+  // timeline: one shard keeps each histogram's floating-point sums in event
+  // order, so results stay bit-identical from run to run.
+  size_t MetricsShard() const override { return 0; }
+
   // Cumulative virtual time transactions spent blocked on locks.
   double total_lock_wait() const { return total_lock_wait_; }
 

@@ -1,6 +1,9 @@
 #include "acc/txn_context.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 
 namespace accdb::acc {
@@ -48,22 +51,60 @@ lock::RequestContext TxnContext::BuildContext() const {
   return ctx;
 }
 
+TxnContext::TableIntent* TxnContext::FindTableIntent(
+    storage::TableId table) {
+  auto it = std::find_if(
+      table_intents_.begin(), table_intents_.end(),
+      [table](const TableIntent& intent) { return intent.table == table; });
+  return it == table_intents_.end() ? nullptr : &*it;
+}
+
+void TxnContext::NoteGranted(lock::ItemId item, lock::LockMode mode) {
+  if (!item.is_table()) return;
+  if (TableIntent* intent = FindTableIntent(item.table)) {
+    intent->mode = lock::ModeCombine(intent->mode, mode);
+  } else {
+    table_intents_.push_back(TableIntent{item.table, mode});
+  }
+}
+
 Status TxnContext::AcquireLock(lock::ItemId item, lock::LockMode mode) {
   ++pending_lock_ops_;
   lock::LockManager& lm = engine_->lock_manager();
+  if (item.is_table()) {
+    const TableIntent* intent = FindTableIntent(item.table);
+    if (intent != nullptr && lock::ModeCovers(intent->mode, mode)) {
+      // Covered re-request: the lock manager would grant it at once, after
+      // a visit to the table's partition. Answer it here, counted the same.
+#ifdef ACCDB_EXPENSIVE_CHECKS
+      if (!lm.Holds(txn_, item, mode)) {
+        std::fprintf(stderr, "txn %llu table-intent memo claims %s on %s\n",
+                     static_cast<unsigned long long>(txn_),
+                     std::string(lock::LockModeName(mode)).c_str(),
+                     item.ToString().c_str());
+        std::abort();
+      }
+#endif
+      lm.RecordCoveredRequest(txn_);
+      return Status::Ok();
+    }
+  }
   env_->PrepareWait(txn_);
-  lock::Outcome outcome = lm.Request(txn_, item, mode, BuildContext());
+  lock::Outcome outcome = lm.Request(txn_, item, mode, BuildContext(), env_);
+  Status status;
   switch (outcome) {
     case lock::Outcome::kGranted:
       env_->DiscardWait(txn_);
-      return Status::Ok();
+      break;
     case lock::Outcome::kAborted:
       env_->DiscardWait(txn_);
       return DeadlockStatus();
     case lock::Outcome::kWaiting:
-      return AwaitTimed(mode);
+      status = AwaitTimed(mode);
+      break;
   }
-  return Status::Internal("unreachable");
+  if (status.ok()) NoteGranted(item, mode);
+  return status;
 }
 
 Status TxnContext::AwaitTimed(lock::LockMode mode) {
@@ -83,7 +124,7 @@ Status TxnContext::AwaitTimed(lock::LockMode mode) {
   }
   const double waited = env_->Now() - wait_start;
   engine_->lock_manager().RecordWaitTime(mode, waited);
-  engine_->RecordLockWait(waited);
+  engine_->RecordLockWait(*env_, waited);
   switch (verdict) {
     case WaitVerdict::kGranted:
       return Status::Ok();
@@ -288,7 +329,7 @@ Result<storage::RowId> TxnContext::Insert(storage::Table& table,
         env_->PrepareWait(txn_);
         lock::Outcome outcome = lm.Request(
             txn_, lock::ItemId::Row(table.id(), id), lock::LockMode::kX,
-            BuildContext());
+            BuildContext(), env_);
         env_->DiscardWait(txn_);
         assert(outcome == lock::Outcome::kGranted &&
                "fresh-row X lock must grant immediately");
@@ -443,7 +484,7 @@ Status TxnContext::AcquireAssertion(const AssertionInstance& assertion) {
     ++pending_lock_ops_;
     env_->PrepareWait(txn_);
     lock::Outcome outcome =
-        lm.Request(txn_, item, lock::LockMode::kAssert, ctx);
+        lm.Request(txn_, item, lock::LockMode::kAssert, ctx, env_);
     if (outcome == lock::Outcome::kGranted) {
       env_->DiscardWait(txn_);
       continue;
@@ -456,7 +497,7 @@ Status TxnContext::AcquireAssertion(const AssertionInstance& assertion) {
   }
   // Audit: the locks are granted, so the assertion instance is claimed to
   // hold for this reader from here on.
-  if (!in_compensation_) engine_->AuditAssertion(assertion);
+  if (!in_compensation_) engine_->AuditAssertion(assertion, *env_);
   return Status::Ok();
 }
 
@@ -489,8 +530,7 @@ Status TxnContext::DispatchTwoLevel() {
   return Status::Ok();
 }
 
-Status TxnContext::RunStep(lock::ActorId step_type,
-                           std::vector<int64_t> step_keys,
+Status TxnContext::RunStep(lock::ActorId step_type, lock::KeyList step_keys,
                            const AssertionInstance& next_assertion,
                            const StepBody& body) {
   assert(!in_step_ && "steps do not nest");
@@ -505,19 +545,19 @@ Status TxnContext::RunStep(lock::ActorId step_type,
     // teardown unwind, see Execute).
     in_step_ = true;
     current_step_type_ = step_type;
-    step_keys_ = std::move(step_keys);
+    step_keys_ = step_keys;
     Status status = body(*this);
     in_step_ = false;
     if (status.ok()) {
       ++completed_steps_;
-      engine_->RecordStepLatency(env_->Now() - step_start);
+      engine_->RecordStepLatency(*env_, env_->Now() - step_start);
     }
     return status;
   }
 
   in_step_ = true;
   current_step_type_ = step_type;
-  step_keys_ = std::move(step_keys);
+  step_keys_ = step_keys;
   pending_next_number_ = ++next_assertion_instance_number_;
   pending_next_assertion_ = next_assertion;
 
@@ -530,7 +570,7 @@ Status TxnContext::RunStep(lock::ActorId step_type,
   // have excluded every interfering actor in between. This is the check
   // that catches an unsound interference-table entry at run time.
   if (current_assertion_.held && !in_compensation_) {
-    engine_->AuditAssertion(current_assertion_.instance);
+    engine_->AuditAssertion(current_assertion_.instance, *env_);
   }
 
   bool granted_next = false;
@@ -564,7 +604,7 @@ Status TxnContext::RunStep(lock::ActorId step_type,
     if (status.ok()) {
       CompleteStep(pending_next_assertion_, pending_next_number_);
       in_step_ = false;
-      engine_->RecordStepLatency(env_->Now() - step_start);
+      engine_->RecordStepLatency(*env_, env_->Now() - step_start);
       return Status::Ok();
     }
     RollbackStep(sp);
@@ -611,33 +651,36 @@ void TxnContext::CompleteStep(const AssertionInstance& next_assertion,
 
   // Items written by this step: kComp markers (compensation reservation and
   // legacy isolation), plus dynamic extension of the next assertion's
-  // protection.
-  lock::RequestContext comp_ctx;
-  comp_ctx.analyzed = analyzed_;
-  lock::RequestContext assert_ctx;
-  assert_ctx.actor = program_->PrefixActor(completed_steps_ + 1);
-  assert_ctx.assertion = next_assertion.decl;
-  assert_ctx.assertion_instance = next_number;
-  assert_ctx.keys = next_assertion.keys;
-  assert_ctx.analyzed = analyzed_;
+  // protection. The release below installs them.
+  lock::LockManager::StepMarks& marks = step_marks_;
+  marks.comp.clear();
+  marks.asserts.clear();
+  marks.comp_ctx = lock::RequestContext{};
+  marks.comp_ctx.analyzed = analyzed_;
+  marks.assert_ctx = lock::RequestContext{};
+  marks.assert_ctx.actor = program_->PrefixActor(completed_steps_ + 1);
+  marks.assert_ctx.assertion = next_assertion.decl;
+  marks.assert_ctx.assertion_instance = next_number;
+  marks.assert_ctx.keys = next_assertion.keys;
+  marks.assert_ctx.analyzed = analyzed_;
+  const bool protect = config.auto_protect_writes && !next_assertion.empty();
   for (const lock::ItemId& item : step_writes_) {
-    lm.GrantUnconditional(txn_, item, lock::LockMode::kComp, comp_ctx);
+    marks.comp.push_back(item);
     // The compensating step will also need the table-level intent lock of
     // every row it touches; mark the table too so compensation never waits
     // for foreign assertional locks at any granularity (Section 3.4).
-    lm.GrantUnconditional(txn_, lock::ItemId::Table(item.table),
-                          lock::LockMode::kComp, comp_ctx);
-    if (config.auto_protect_writes && !next_assertion.empty()) {
-      lm.GrantUnconditional(txn_, item, lock::LockMode::kAssert, assert_ctx);
-    }
+    marks.comp.push_back(lock::ItemId::Table(item.table));
+    if (protect) marks.asserts.push_back(item);
   }
 
   // The step is durable; physical rollback is no longer possible.
   undo_.ReleaseAll();
 
   // "When a step S_{i,j} terminates: unconditionally release all
-  // conventional and A(pre(S_{i,j})) locks."
-  lm.ReleaseConventional(txn_);
+  // conventional and A(pre(S_{i,j})) locks." The marks go in during the
+  // same partition visits.
+  lm.ReleaseConventional(txn_, marks);
+  table_intents_.clear();
   if (current_assertion_.held) {
     lm.ReleaseAssertion(txn_, current_assertion_.instance.decl,
                         current_assertion_.instance_number);
@@ -652,7 +695,7 @@ void TxnContext::CompleteStep(const AssertionInstance& next_assertion,
   // (the "claim" end of the contract; the RunStep-entry audit checks the
   // "survives interleaving" end).
   if (current_assertion_.held && !in_compensation_) {
-    engine_->AuditAssertion(current_assertion_.instance);
+    engine_->AuditAssertion(current_assertion_.instance, *env_);
   }
 
   // Force the end-of-step record before the step's result publishes to the
@@ -670,6 +713,7 @@ void TxnContext::RollbackStep(storage::UndoLog::Savepoint sp) {
   assert(status.ok() && "step undo must succeed");
   (void)status;
   engine_->lock_manager().ReleaseConventional(txn_);
+  table_intents_.clear();
   step_writes_.clear();
   // The rolled-back step's writes were physically undone; drop their redo.
   if (redo_.size() > step_redo_mark_) redo_.resize(step_redo_mark_);
@@ -695,7 +739,7 @@ Status TxnContext::AcquireInitialAssertion(const AssertionInstance& assertion) {
     ++pending_lock_ops_;
     env_->PrepareWait(txn_);
     lock::Outcome outcome =
-        lm.Request(txn_, item, lock::LockMode::kAssert, ctx);
+        lm.Request(txn_, item, lock::LockMode::kAssert, ctx, env_);
     if (outcome == lock::Outcome::kGranted) {
       env_->DiscardWait(txn_);
       continue;
@@ -712,7 +756,7 @@ Status TxnContext::AcquireInitialAssertion(const AssertionInstance& assertion) {
   pending_lock_ops_ = 0;
   // Audit: the transaction initiates assuming its initial assertion; the
   // initiation check just proved no in-flight actor interferes with it.
-  engine_->AuditAssertion(assertion);
+  engine_->AuditAssertion(assertion, *env_);
   return Status::Ok();
 }
 
@@ -796,6 +840,9 @@ void TxnContext::PhysicalRollbackAll() {
   ReleaseLocks();
 }
 
-void TxnContext::ReleaseLocks() { engine_->lock_manager().ReleaseAll(txn_); }
+void TxnContext::ReleaseLocks() {
+  engine_->lock_manager().ReleaseAll(txn_);
+  table_intents_.clear();
+}
 
 }  // namespace accdb::acc

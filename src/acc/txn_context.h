@@ -51,7 +51,7 @@ class TxnContext {
   // `step_keys` are the run-time discriminators of this step's writes (for
   // kIfSameKey refinement); `next_assertion` is pre(S_{j+1}) — empty for the
   // final step.
-  Status RunStep(lock::ActorId step_type, std::vector<int64_t> step_keys,
+  Status RunStep(lock::ActorId step_type, lock::KeyList step_keys,
                  const AssertionInstance& next_assertion,
                  const StepBody& body);
 
@@ -160,10 +160,22 @@ class TxnContext {
     bool held = false;
   };
 
+  // A conventional mode this transaction holds on a table item.
+  struct TableIntent {
+    storage::TableId table;
+    lock::LockMode mode;
+  };
+
   // One lock-manager round trip; resolves waiting through the env. Returns
   // OK, kDeadlock when this transaction lost a deadlock, or
-  // kDeadlineExceeded when the env's lock-wait deadline expired first.
+  // kDeadlineExceeded when the env's lock-wait deadline expired first. A
+  // table-item request that a held mode covers is answered from
+  // table_intents_ instead, with the same answer and the same counts.
   Status AcquireLock(lock::ItemId item, lock::LockMode mode);
+  TableIntent* FindTableIntent(storage::TableId table);
+  // Records a granted conventional request in table_intents_ (table items
+  // only).
+  void NoteGranted(lock::ItemId item, lock::LockMode mode);
 
   // Blocks on the pending request of `txn_`, measuring the wait on the env
   // clock and feeding it to the lock manager's per-mode attribution and the
@@ -230,8 +242,15 @@ class TxnContext {
   bool in_step_ = false;
   bool in_compensation_ = false;
   lock::ActorId current_step_type_ = lock::kNoActor;
-  std::vector<int64_t> step_keys_;
+  lock::KeyList step_keys_;
   std::vector<lock::ItemId> step_writes_;
+  // The table items this transaction holds a conventional lock on, with
+  // the held mode: exact, because only this transaction's own requests and
+  // releases change it. Cleared wherever its conventional locks are
+  // released (CompleteStep, RollbackStep, ReleaseLocks).
+  std::vector<TableIntent> table_intents_;
+  // CompleteStep's mark buffers, reused from step to step.
+  lock::LockManager::StepMarks step_marks_;
   int completed_steps_ = 0;
   int step_deadlock_retries_ = 0;
   uint32_t next_assertion_instance_number_ = 0;

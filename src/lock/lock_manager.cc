@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <tuple>
 
 #include "common/string_util.h"
 #include "lock/wait_for_graph.h"
@@ -188,9 +190,15 @@ void LockManager::InstallHolder(ItemState& state, ItemId item, TxnId txn,
                                 LockMode mode, RequestContext ctx) {
   TxnStripe& stripe = StripeOf(txn);
   std::lock_guard<std::mutex> stripe_guard(stripe.mu);
-  HeldEntry& held = stripe.txns[txn].held_items[item];
+  InstallHolderLocked(state, item, stripe.txns[txn], txn, mode,
+                      std::move(ctx));
+}
+
+void LockManager::InstallHolderLocked(ItemState& state, ItemId item,
+                                      TxnState& txn_state, TxnId txn,
+                                      LockMode mode, RequestContext ctx) {
+  HeldEntry& held = txn_state.held_items[item];
   if (IsConventional(mode)) {
-    held.conventional = 1;
     for (Holder& h : state.holders) {
       if (h.txn == txn && IsConventional(h.mode)) {
         if (ModeCovers(h.mode, mode)) return;
@@ -199,21 +207,38 @@ void LockManager::InstallHolder(ItemState& state, ItemId item, TxnId txn,
         return;
       }
     }
+    held.conventional = 1;
+    txn_state.conventional.push_back(item);
   } else if (mode == LockMode::kAssert) {
+    bool instance_covers_item = false;
     for (const Holder& h : state.holders) {
       if (h.txn == txn && h.mode == LockMode::kAssert &&
           h.ctx.assertion == ctx.assertion &&
-          h.ctx.assertion_instance == ctx.assertion_instance &&
-          h.ctx.keys == ctx.keys) {
-        return;  // Already protecting this assertion instance.
+          h.ctx.assertion_instance == ctx.assertion_instance) {
+        if (h.ctx.keys == ctx.keys) {
+          return;  // Already protecting this assertion instance.
+        }
+        instance_covers_item = true;
       }
     }
     ++held.asserts;
-  } else {  // kComp
-    held.comp = 1;
-    for (const Holder& h : state.holders) {
-      if (h.txn == txn && h.mode == LockMode::kComp) return;
+    if (!instance_covers_item) {
+      auto list = std::find_if(
+          txn_state.instances.begin(), txn_state.instances.end(),
+          [&](const InstanceItems& entry) {
+            return entry.assertion == ctx.assertion &&
+                   entry.instance == ctx.assertion_instance;
+          });
+      if (list == txn_state.instances.end()) {
+        txn_state.instances.push_back(
+            InstanceItems{ctx.assertion, ctx.assertion_instance, {}});
+        list = txn_state.instances.end() - 1;
+      }
+      list->items.push_back(item);
     }
+  } else {  // kComp: held to commit, installed at most once per item.
+    if (held.comp != 0) return;
+    held.comp = 1;
   }
   if (state.holders.capacity() == 0) state.holders.reserve(4);
   state.holders.push_back(Holder{txn, mode, std::move(ctx)});
@@ -256,7 +281,7 @@ void LockManager::RepublishItemWaitersLocked(const ItemState& state,
 }
 
 Outcome LockManager::Request(TxnId txn, ItemId item, LockMode mode,
-                             RequestContext ctx) {
+                             RequestContext ctx, void* tag) {
 #ifndef NDEBUG
   {
     std::lock_guard<std::mutex> wait_guard(wait_mu_);
@@ -346,7 +371,7 @@ Outcome LockManager::Request(TxnId txn, ItemId item, LockMode mode,
 
   // Enqueue: upgrades ahead of non-upgrade waiters.
   const bool requester_compensating = ctx.for_compensation;
-  Waiter waiter{txn, effective, std::move(ctx), is_upgrade};
+  Waiter waiter{txn, effective, std::move(ctx), is_upgrade, tag};
   if (is_upgrade) {
     auto pos = state.queue.begin();
     while (pos != state.queue.end() && pos->is_upgrade) ++pos;
@@ -496,6 +521,7 @@ void LockManager::AbortWaiterForDeadlock(TxnId victim) {
     }
     Partition& part = PartitionOf(item);
     std::lock_guard<std::mutex> part_guard(part.mu);
+    void* tag = nullptr;
     {
       std::lock_guard<std::mutex> wait_guard(wait_mu_);
       auto it = waiting_.find(victim);
@@ -509,13 +535,14 @@ void LockManager::AbortWaiterForDeadlock(TxnId victim) {
       std::vector<Waiter>& queue = item_it->second.queue;
       for (auto qit = queue.begin(); qit != queue.end(); ++qit) {
         if (qit->txn == victim) {
+          tag = qit->tag;
           queue.erase(qit);
           break;
         }
       }
     }
     ProcessQueueLocked(part, item);
-    if (listener_ != nullptr) listener_->OnWaiterAborted(victim);
+    if (listener_ != nullptr) listener_->OnWaiterAborted(victim, tag);
     return;
   }
 }
@@ -560,7 +587,7 @@ void LockManager::ProcessQueueLocked(Partition& part, ItemId item) {
   if (item_it == part.items.end()) return;
   ItemState& state = item_it->second;
 
-  std::vector<TxnId> granted;
+  std::vector<std::pair<TxnId, void*>> granted;
   if (!state.queue.empty()) {
     std::lock_guard<std::mutex> wait_guard(wait_mu_);
     size_t pos = 0;
@@ -577,7 +604,7 @@ void LockManager::ProcessQueueLocked(Partition& part, ItemId item) {
       }
       InstallHolder(state, item, w.txn, w.mode, std::move(w.ctx));
       waiting_.erase(w.txn);
-      granted.push_back(w.txn);
+      granted.emplace_back(w.txn, w.tag);
       state.queue.erase(state.queue.begin() + pos);
       // Do not advance pos: the next waiter shifted into this slot.
     }
@@ -591,36 +618,58 @@ void LockManager::ProcessQueueLocked(Partition& part, ItemId item) {
   MaybeEraseItem(part, item);
 
   if (listener_ != nullptr) {
-    for (TxnId txn : granted) listener_->OnGranted(txn);
+    for (const auto& [txn, tag] : granted) listener_->OnGranted(txn, tag);
   }
 }
 
-void LockManager::ReleaseConventional(TxnId txn) {
-  release_calls_.fetch_add(1, std::memory_order_relaxed);
+void LockManager::RecordCoveredRequest(TxnId txn) {
+  TxnStripe& stripe = StripeOf(txn);
+  std::lock_guard<std::mutex> stripe_guard(stripe.mu);
+  ++stripe.stats.requests;
+  ++stripe.stats.immediate_grants;
+}
+
+void LockManager::ReleaseConventional(TxnId txn, const StepMarks& marks) {
   TxnStripe& stripe = StripeOf(txn);
   std::vector<ItemId> touched;
   {
     std::lock_guard<std::mutex> stripe_guard(stripe.mu);
+    ++stripe.stats.release_calls;
+    stripe.stats.unconditional_grants +=
+        marks.comp.size() + marks.asserts.size();
     auto it = stripe.txns.find(txn);
-    if (it == stripe.txns.end()) return;
-    // Index-driven: only items the index says carry a conventional lock,
-    // in index iteration order (the order queue processing and listener
-    // callbacks observe — identical for any partition count).
-    for (const auto& [item, held] : it->second.held_items) {
-      if (held.conventional != 0) touched.push_back(item);
-    }
+    if (it != stripe.txns.end()) touched = it->second.conventional;
   }
+  // Installs the marks `marks` names for `item`. Requires the item's
+  // partition latch and the stripe latch.
+  auto install_marks = [&](ItemState& state, ItemId item, TxnState& ts) {
+    for (const ItemId& mark : marks.comp) {
+      if (mark == item) {
+        InstallHolderLocked(state, item, ts, txn, LockMode::kComp,
+                            marks.comp_ctx);
+      }
+    }
+    for (const ItemId& mark : marks.asserts) {
+      if (mark == item) {
+        InstallHolderLocked(state, item, ts, txn, LockMode::kAssert,
+                            marks.assert_ctx);
+      }
+    }
+  };
+  // The conventional list, in grant order: one visit per item drops the
+  // lock, installs the item's marks and processes its queue.
   for (const ItemId& item : touched) {
     Partition& part = PartitionOf(item);
     std::lock_guard<std::mutex> part_guard(part.mu);
     ++part.release_visits;
     auto item_it = part.items.find(item);
     assert(item_it != part.items.end());
-    std::vector<Holder>& holders = item_it->second.holders;
+    ItemState& state = item_it->second;
     // Conventional entries merge, so there is exactly one to remove.
-    for (auto hit = holders.begin(); hit != holders.end(); ++hit) {
+    for (auto hit = state.holders.begin(); hit != state.holders.end();
+         ++hit) {
       if (hit->txn == txn && IsConventional(hit->mode)) {
-        holders.erase(hit);
+        state.holders.erase(hit);
         break;
       }
     }
@@ -630,12 +679,42 @@ void LockManager::ReleaseConventional(TxnId txn) {
       std::lock_guard<std::mutex> stripe_guard(stripe.mu);
       auto it = stripe.txns.find(txn);
       assert(it != stripe.txns.end());
-      auto held_it = it->second.held_items.find(item);
-      assert(held_it != it->second.held_items.end());
+      TxnState& ts = it->second;
+      auto held_it = ts.held_items.find(item);
+      assert(held_it != ts.held_items.end());
       held_it->second.conventional = 0;
-      if (held_it->second.empty()) it->second.held_items.erase(held_it);
+      ts.conventional.erase(
+          std::find(ts.conventional.begin(), ts.conventional.end(), item));
+      install_marks(state, item, ts);
+      if (held_it->second.empty()) ts.held_items.erase(held_it);
     }
     ProcessQueueLocked(part, item);
+  }
+  // Marks on items the step held no conventional lock on: installed like
+  // GrantUnconditional, one visit per distinct item.
+  std::vector<ItemId> leftover;
+  auto note_leftover = [&](const ItemId& item) {
+    if (std::find(touched.begin(), touched.end(), item) == touched.end() &&
+        std::find(leftover.begin(), leftover.end(), item) == leftover.end()) {
+      leftover.push_back(item);
+    }
+  };
+  for (const ItemId& item : marks.comp) note_leftover(item);
+  for (const ItemId& item : marks.asserts) note_leftover(item);
+  for (const ItemId& item : leftover) {
+    Partition& part = PartitionOf(item);
+    std::lock_guard<std::mutex> part_guard(part.mu);
+    ItemState& state = part.items[item];
+    {
+      std::lock_guard<std::mutex> stripe_guard(stripe.mu);
+      install_marks(state, item, stripe.txns[txn]);
+    }
+    if (!state.queue.empty()) {
+      // The new holders may block existing waiters; the deadlock pass
+      // below sees the refreshed edges.
+      std::lock_guard<std::mutex> wait_guard(wait_mu_);
+      RepublishItemWaitersLocked(state, item);
+    }
   }
   MaybeDropTxnState(txn);
   ResolveDeadlocks();
@@ -644,18 +723,24 @@ void LockManager::ReleaseConventional(TxnId txn) {
 
 void LockManager::ReleaseAssertion(TxnId txn, AssertionId assertion,
                                    uint32_t assertion_instance) {
-  release_calls_.fetch_add(1, std::memory_order_relaxed);
   TxnStripe& stripe = StripeOf(txn);
-  std::vector<ItemId> candidates;
+  auto same_instance = [&](const InstanceItems& entry) {
+    return entry.assertion == assertion &&
+           entry.instance == assertion_instance;
+  };
+  std::vector<ItemId> covered;
   {
     std::lock_guard<std::mutex> stripe_guard(stripe.mu);
+    ++stripe.stats.release_calls;
     auto it = stripe.txns.find(txn);
     if (it == stripe.txns.end()) return;
-    for (const auto& [item, held] : it->second.held_items) {
-      if (held.asserts != 0) candidates.push_back(item);
-    }
+    const std::vector<InstanceItems>& instances = it->second.instances;
+    auto list = std::find_if(instances.begin(), instances.end(),
+                             same_instance);
+    if (list == instances.end()) return;
+    covered = list->items;
   }
-  for (const ItemId& item : candidates) {
+  for (const ItemId& item : covered) {
     Partition& part = PartitionOf(item);
     std::lock_guard<std::mutex> part_guard(part.mu);
     ++part.release_visits;
@@ -668,17 +753,24 @@ void LockManager::ReleaseAssertion(TxnId txn, AssertionId assertion,
                  h.ctx.assertion == assertion &&
                  h.ctx.assertion_instance == assertion_instance;
         });
-    if (removed == holders.end()) continue;  // Different instances here.
+    assert(removed != holders.end() && "instance list names a bare item");
     const uint32_t dropped = static_cast<uint32_t>(holders.end() - removed);
     holders.erase(removed, holders.end());
     {
       std::lock_guard<std::mutex> stripe_guard(stripe.mu);
       auto it = stripe.txns.find(txn);
       assert(it != stripe.txns.end());
-      auto held_it = it->second.held_items.find(item);
-      assert(held_it != it->second.held_items.end());
+      TxnState& ts = it->second;
+      auto held_it = ts.held_items.find(item);
+      assert(held_it != ts.held_items.end());
       held_it->second.asserts -= dropped;
-      if (held_it->second.empty()) it->second.held_items.erase(held_it);
+      if (held_it->second.empty()) ts.held_items.erase(held_it);
+      auto list =
+          std::find_if(ts.instances.begin(), ts.instances.end(), same_instance);
+      assert(list != ts.instances.end());
+      list->items.erase(
+          std::find(list->items.begin(), list->items.end(), item));
+      if (list->items.empty()) ts.instances.erase(list);
     }
     ProcessQueueLocked(part, item);
   }
@@ -688,7 +780,6 @@ void LockManager::ReleaseAssertion(TxnId txn, AssertionId assertion,
 }
 
 void LockManager::ReleaseAll(TxnId txn) {
-  release_calls_.fetch_add(1, std::memory_order_relaxed);
   // Cancel any pending request first (matching the single-latch order:
   // waiter removal, then holder drops, then queue passes).
   const bool was_waiting = RemoveWaiterForRelease(txn);
@@ -698,6 +789,7 @@ void LockManager::ReleaseAll(TxnId txn) {
   bool held_anything = false;
   {
     std::lock_guard<std::mutex> stripe_guard(stripe.mu);
+    ++stripe.stats.release_calls;
     auto it = stripe.txns.find(txn);
     if (it != stripe.txns.end()) {
       held_anything = true;
@@ -726,7 +818,23 @@ void LockManager::ReleaseAll(TxnId txn) {
       std::lock_guard<std::mutex> stripe_guard(stripe.mu);
       auto it = stripe.txns.find(txn);
       assert(it != stripe.txns.end());
-      it->second.held_items.erase(item);
+      TxnState& ts = it->second;
+      auto held_it = ts.held_items.find(item);
+      assert(held_it != ts.held_items.end());
+      if (held_it->second.conventional != 0) {
+        ts.conventional.erase(
+            std::find(ts.conventional.begin(), ts.conventional.end(), item));
+      }
+      if (held_it->second.asserts != 0) {
+        for (InstanceItems& list : ts.instances) {
+          auto pos = std::find(list.items.begin(), list.items.end(), item);
+          if (pos != list.items.end()) list.items.erase(pos);
+        }
+        std::erase_if(ts.instances, [](const InstanceItems& list) {
+          return list.items.empty();
+        });
+      }
+      ts.held_items.erase(held_it);
     }
     ProcessQueueLocked(part, item);
   }
@@ -853,7 +961,10 @@ LockManager::Stats LockManager::StatsSnapshot() const {
     std::lock_guard<std::mutex> guard(wait_mu_);
     merged.MergeFrom(wait_stats_);
   }
-  merged.release_calls += release_calls_.load(std::memory_order_relaxed);
+  for (const TxnStripe& stripe : stripes_) {
+    std::lock_guard<std::mutex> guard(stripe.mu);
+    merged.MergeFrom(stripe.stats);
+  }
   return merged;
 }
 
@@ -866,7 +977,10 @@ void LockManager::ResetStats() {
     std::lock_guard<std::mutex> guard(wait_mu_);
     wait_stats_.Reset();
   }
-  release_calls_.store(0, std::memory_order_relaxed);
+  for (TxnStripe& stripe : stripes_) {
+    std::lock_guard<std::mutex> guard(stripe.mu);
+    stripe.stats.Reset();
+  }
 }
 
 void LockManager::RecordWaitTime(LockMode mode, double seconds) {
@@ -884,6 +998,12 @@ LockManager::Stats LockManager::PartitionStatsForTest(size_t partition) const {
 LockManager::Stats LockManager::WaitTierStatsForTest() const {
   std::lock_guard<std::mutex> guard(wait_mu_);
   return wait_stats_;
+}
+
+LockManager::Stats LockManager::StripeStatsForTest(size_t stripe) const {
+  const TxnStripe& s = stripes_.at(stripe);
+  std::lock_guard<std::mutex> guard(s.mu);
+  return s.stats;
 }
 
 uint64_t LockManager::PartitionReleaseVisitsForTest(size_t partition) const {
@@ -948,6 +1068,9 @@ bool LockManager::CheckIndexConsistencyLocked(std::string* violation) const {
   // and audit each queue entry against its wait-tier record.
   std::unordered_map<TxnId, std::unordered_map<ItemId, HeldEntry, ItemIdHash>>
       expected;
+  // (txn, assertion, instance) -> the items holding that instance.
+  std::map<std::tuple<TxnId, AssertionId, uint32_t>, std::vector<ItemId>>
+      expected_instances;
   size_t queued_waiters = 0;
   for (size_t pi = 0; pi < partitions_.size(); ++pi) {
     const Partition& part = *partitions_[pi];
@@ -968,6 +1091,11 @@ bool LockManager::CheckIndexConsistencyLocked(std::string* violation) const {
           }
         } else if (h.mode == LockMode::kAssert) {
           ++held.asserts;
+          std::vector<ItemId>& items = expected_instances[{
+              h.txn, h.ctx.assertion, h.ctx.assertion_instance}];
+          if (std::find(items.begin(), items.end(), item) == items.end()) {
+            items.push_back(item);
+          }
         } else {
           if (++held.comp > 1) {
             return fail(StrFormat(
@@ -1055,6 +1183,87 @@ bool LockManager::CheckIndexConsistencyLocked(std::string* violation) const {
         }
       }
     }
+  }
+
+  // The conventional and per-instance lists against the holder tables, in
+  // both directions: each list entry names an item the transaction holds
+  // that way, exactly once, and each such holder is listed.
+  size_t listed_instance_items = 0;
+  for (const TxnStripe& stripe : stripes_) {
+    for (const auto& [txn, state] : stripe.txns) {
+      auto expected_it = expected.find(txn);
+      size_t conventional_items = 0;
+      if (expected_it != expected.end()) {
+        for (const auto& [item, held] : expected_it->second) {
+          conventional_items += held.conventional;
+        }
+      }
+      if (state.conventional.size() != conventional_items) {
+        return fail(StrFormat(
+            "txn %llu conventional list has %zu items but holder tables show "
+            "%zu",
+            static_cast<unsigned long long>(txn), state.conventional.size(),
+            conventional_items));
+      }
+      for (const ItemId& item : state.conventional) {
+        const bool held =
+            expected_it != expected.end() &&
+            expected_it->second.count(item) != 0 &&
+            expected_it->second.at(item).conventional != 0;
+        if (!held || std::count(state.conventional.begin(),
+                                state.conventional.end(), item) != 1) {
+          return fail(StrFormat(
+              "txn %llu conventional list names %s, which it holds no "
+              "conventional lock on or lists twice",
+              static_cast<unsigned long long>(txn), item.ToString().c_str()));
+        }
+      }
+      for (size_t i = 0; i < state.instances.size(); ++i) {
+        const InstanceItems& list = state.instances[i];
+        for (size_t j = 0; j < i; ++j) {
+          if (state.instances[j].assertion == list.assertion &&
+              state.instances[j].instance == list.instance) {
+            return fail(StrFormat(
+                "txn %llu lists assertion %u instance %u twice",
+                static_cast<unsigned long long>(txn), list.assertion,
+                list.instance));
+          }
+        }
+        auto want_it =
+            expected_instances.find({txn, list.assertion, list.instance});
+        const std::vector<ItemId> none;
+        const std::vector<ItemId>& want =
+            want_it == expected_instances.end() ? none : want_it->second;
+        if (list.items.empty() || list.items.size() != want.size()) {
+          return fail(StrFormat(
+              "txn %llu assertion %u instance %u lists %zu items but holder "
+              "tables show %zu",
+              static_cast<unsigned long long>(txn), list.assertion,
+              list.instance, list.items.size(), want.size()));
+        }
+        for (const ItemId& item : list.items) {
+          if (std::find(want.begin(), want.end(), item) == want.end() ||
+              std::count(list.items.begin(), list.items.end(), item) != 1) {
+            return fail(StrFormat(
+                "txn %llu assertion %u instance %u lists %s, which holds no "
+                "such lock or is listed twice",
+                static_cast<unsigned long long>(txn), list.assertion,
+                list.instance, item.ToString().c_str()));
+          }
+        }
+        listed_instance_items += list.items.size();
+      }
+    }
+  }
+  size_t held_instance_items = 0;
+  for (const auto& entry : expected_instances) {
+    held_instance_items += entry.second.size();
+  }
+  if (listed_instance_items != held_instance_items) {
+    return fail(StrFormat(
+        "instance lists name %zu (item, instance) pairs but holder tables "
+        "show %zu",
+        listed_instance_items, held_instance_items));
   }
 
   // Every transaction seen in a holder table must be indexed.

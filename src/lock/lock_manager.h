@@ -27,8 +27,9 @@
 // over ItemId: each partition owns its items (holder vectors + FIFO
 // queues) and a stats shard, all guarded by one per-partition latch.
 // Grants, releases and conversions that find no conflict touch only the
-// partition latch of the item involved — the hot
-// path is embarrassingly parallel across partitions. Waiting is the slow
+// partition latch of the item involved (plus the requesting transaction's
+// directory stripe) — the hot path is embarrassingly parallel across
+// partitions. Waiting is the slow
 // path: a request that must queue additionally takes the global wait-tier
 // latch, which owns the waits-for relation. The waits-for edges are
 // *materialized* — every holder/queue mutation republishes the affected
@@ -36,8 +37,12 @@
 // held — so the eager DFS deadlock detection runs under the wait-tier latch
 // alone, never needing to latch other partitions (latch order: partition
 // before wait tier, never reversed; see DESIGN.md §10). The per-transaction
-// holder index lives in a striped transaction directory so ReleaseAll
-// visits only the partitions the index names. The partition count is
+// holder index lives in a striped transaction directory. Besides the
+// per-item summary it keeps two lists: the items holding a conventional
+// lock, and, per assertion instance, the items that instance covers. The
+// step-end releases walk those lists, so each visits exactly the
+// partitions of the items it changes, each once; ReleaseAll walks the
+// per-item summary. The partition count is
 // sized for the item table, not for the host: ACC takes and drops many
 // short step locks per transaction, so the default of 1024 partitions
 // keeps them from meeting on a latch at any thread count, and the layout
@@ -46,7 +51,9 @@
 // Listener callbacks are invoked while the partition latch of the item that
 // produced them is held (happens-before for the grant hand-off); they must
 // not reenter the lock manager (both execution environments only flag a
-// wait cell and wake its owner). The cooperative simulation is
+// wait cell and wake its owner). Each callback hands back the opaque tag the
+// waiter passed to Request, so a listener can route the notification
+// without a lookup table of its own. The cooperative simulation is
 // single-threaded, so partitioning is invisible there: grant order, queue
 // order and every counter are identical for any partition count.
 
@@ -88,12 +95,13 @@ class LockManager {
   class Listener {
    public:
     virtual ~Listener() = default;
-    // The transaction's pending request has been granted.
-    virtual void OnGranted(TxnId txn) = 0;
+    // The transaction's pending request has been granted. `tag` is the
+    // value the request was queued with.
+    virtual void OnGranted(TxnId txn, void* tag) = 0;
     // The transaction's pending request was aborted because a compensating
     // step needed the cycle broken. The transaction must roll back its
     // current step.
-    virtual void OnWaiterAborted(TxnId txn) = 0;
+    virtual void OnWaiterAborted(TxnId txn, void* tag) = 0;
   };
 
   struct Stats {
@@ -140,8 +148,8 @@ class LockManager {
 
     // Accumulates another shard into this one (sums; max for
     // queue_depth_max). Shard totals are conserved: summing every
-    // partition shard, the wait-tier shard and release_calls reproduces
-    // the single-latch counters exactly.
+    // partition shard, the wait-tier shard and every directory-stripe shard
+    // reproduces the single-latch counters exactly.
     void MergeFrom(const Stats& other);
   };
 
@@ -161,10 +169,18 @@ class LockManager {
   size_t PartitionIndex(const ItemId& item) const;
 
   // Requests a lock. kGranted: the lock is held on return. kWaiting: the
-  // request is queued; a later OnGranted/OnWaiterAborted callback resolves
-  // it. kAborted: the request closed a deadlock cycle and was refused; the
-  // caller must roll back its current step and release its step locks.
-  Outcome Request(TxnId txn, ItemId item, LockMode mode, RequestContext ctx);
+  // request is queued; a later OnGranted/OnWaiterAborted callback, carrying
+  // `tag`, resolves it. kAborted: the request closed a deadlock cycle and
+  // was refused; the caller must roll back its current step and release its
+  // step locks.
+  Outcome Request(TxnId txn, ItemId item, LockMode mode, RequestContext ctx,
+                  void* tag = nullptr);
+
+  // Counts a conventional re-request that the caller answered itself
+  // because `txn` already holds a covering mode on the item: one request
+  // and one immediate grant, exactly what Request would have counted. Goes
+  // to the transaction's directory-stripe shard; no partition is touched.
+  void RecordCoveredRequest(TxnId txn);
 
   // Installs a lock without any conflict check. Used for the step-start
   // grant of A(pre(S_{i,j+1})) — sound per the proof obligation (3) — and
@@ -172,13 +188,27 @@ class LockManager {
   void GrantUnconditional(TxnId txn, ItemId item, LockMode mode,
                           RequestContext ctx);
 
-  // Releases all conventional (IS/IX/S/SIX/X) locks of `txn`
-  // (end of an ACC step).
-  void ReleaseConventional(TxnId txn);
+  // The unconditional grants an ACC step leaves behind at its end: kComp
+  // marks (under comp_ctx) and kAssert marks (under assert_ctx). Items may
+  // repeat; each entry counts as one unconditional grant, and an item's
+  // marks are installed once.
+  struct StepMarks {
+    std::vector<ItemId> comp;
+    RequestContext comp_ctx;
+    std::vector<ItemId> asserts;
+    RequestContext assert_ctx;
+  };
+
+  // Releases all conventional (IS/IX/S/SIX/X) locks of `txn` (end of an
+  // ACC step), installing `marks` as it goes: an item's marks go in during
+  // the same partition visit that drops its conventional lock, before its
+  // queue is processed. Marks on items without a conventional lock are
+  // installed afterwards, like GrantUnconditional.
+  void ReleaseConventional(TxnId txn, const StepMarks& marks = {});
 
   // Releases all kAssert locks of `txn` protecting instance
   // `assertion_instance` of `assertion` (the assertion was consumed by the
-  // step that just ended).
+  // step that just ended). Visits only the items the instance covers.
   void ReleaseAssertion(TxnId txn, AssertionId assertion,
                         uint32_t assertion_instance);
 
@@ -238,10 +268,13 @@ class LockManager {
 
   // --- Test hooks ---
 
-  // Latched copy of one partition's stats shard / the wait-tier shard
-  // (conservation tests: the shards must sum to StatsSnapshot()).
+  // Latched copy of one partition's stats shard / the wait-tier shard / one
+  // directory stripe's shard (conservation tests: the shards must sum to
+  // StatsSnapshot()).
   Stats PartitionStatsForTest(size_t partition) const;
   Stats WaitTierStatsForTest() const;
+  Stats StripeStatsForTest(size_t stripe) const;
+  static constexpr size_t stripe_count() { return kTxnStripes; }
   // Number of release-path visits (latch acquisitions) this partition has
   // seen, for asserting that releases never touch foreign partitions.
   uint64_t PartitionReleaseVisitsForTest(size_t partition) const;
@@ -261,6 +294,7 @@ class LockManager {
     LockMode mode;
     RequestContext ctx;
     bool is_upgrade;
+    void* tag;  // Handed back to the listener.
   };
 
   struct ItemState {
@@ -283,14 +317,28 @@ class LockManager {
     }
   };
 
-  // Per-item index of everything the transaction holds. Kept as ONE map
-  // per transaction (in a striped directory, not split per partition): the
-  // release paths iterate it to decide which items to visit and in what
-  // order, and that order feeds queue processing and listener callbacks —
-  // keeping it a single map makes the grant schedule independent of the
-  // partition count (sim_identity_test pins this byte-for-byte).
+  // The items one assertion instance of a transaction holds kAssert locks
+  // on, each once, in grant order.
+  struct InstanceItems {
+    AssertionId assertion;
+    uint32_t instance;
+    std::vector<ItemId> items;
+  };
+
+  // Everything one transaction holds. Kept per transaction (in a striped
+  // directory, not split per partition), so the release schedule — which
+  // items are visited and in what order, which feeds queue processing and
+  // listener callbacks — is independent of the partition count
+  // (sim_identity_test pins this byte-for-byte).
+  //   held_items   — per-item summary; ReleaseAll walks it in map order.
+  //   conventional — items holding a conventional lock, in grant order;
+  //                  ReleaseConventional walks it.
+  //   instances    — per assertion instance, the items it covers;
+  //                  ReleaseAssertion walks the consumed instance's list.
   struct TxnState {
     std::unordered_map<ItemId, HeldEntry, ItemIdHash> held_items;
+    std::vector<ItemId> conventional;
+    std::vector<InstanceItems> instances;
   };
 
   // One stripe of the item table: items and a stats shard, both owned by
@@ -304,11 +352,14 @@ class LockManager {
     uint64_t release_visits = 0;
   };
 
-  // One stripe of the per-transaction holder-index directory. Cache-line
+  // One stripe of the per-transaction holder-index directory, with the
+  // stats shard for counts that belong to a transaction rather than an item
+  // (release calls, step-end marks, covered re-requests). Cache-line
   // aligned: the stripes sit side by side in one array.
   struct alignas(64) TxnStripe {
     mutable std::mutex mu;
     std::unordered_map<TxnId, TxnState> txns;
+    Stats stats;
   };
 
   // A waiting transaction's wait-tier record. `blockers` is the
@@ -357,8 +408,12 @@ class LockManager {
 
   // Installs a granted lock into the holder list (merging with existing
   // entries of the same transaction where appropriate) and updates the
-  // transaction's held-item index (briefly taking the txn's stripe latch).
-  // Requires the item's partition latch.
+  // transaction's index. Requires the item's partition latch and the
+  // transaction's stripe latch.
+  static void InstallHolderLocked(ItemState& state, ItemId item,
+                                  TxnState& txn_state, TxnId txn,
+                                  LockMode mode, RequestContext ctx);
+  // The same, taking the stripe latch itself. Requires the partition latch.
   void InstallHolder(ItemState& state, ItemId item, TxnId txn, LockMode mode,
                      RequestContext ctx);
 
@@ -395,9 +450,9 @@ class LockManager {
 
   // Aborts `victim`'s pending request for deadlock resolution: removes its
   // queue entry and wait record, processes the item's queue, then fires
-  // OnWaiterAborted. Re-validates under the latches (the victim may have
-  // been granted or aborted by a concurrent resolution meanwhile — then
-  // no-op). No latch may be held on entry.
+  // OnWaiterAborted with the entry's tag. Re-validates under the latches
+  // (the victim may have been granted or aborted by a concurrent resolution
+  // meanwhile — then no-op). No latch may be held on entry.
   void AbortWaiterForDeadlock(TxnId victim);
 
   // Removes `txn`'s queue entry + wait record without processing the
@@ -425,7 +480,7 @@ class LockManager {
   const size_t partition_mask_;
   const std::function<size_t(const ItemId&)> partition_fn_;
 
-  // Striped per-transaction holder-index directory.
+  // Striped per-transaction holder-index directory (and stats shards).
   mutable std::array<TxnStripe, kTxnStripes> stripes_;
 
   // --- Wait tier ---
@@ -440,10 +495,6 @@ class LockManager {
   // Wait/deadlock counters (incl. the wait_seconds doubles, whose
   // accumulation order stays single-site and deterministic).
   Stats wait_stats_;
-
-  // Release calls are counted outside any shard (a release may touch many
-  // partitions or none).
-  std::atomic<uint64_t> release_calls_{0};
 };
 
 }  // namespace accdb::lock

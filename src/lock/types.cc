@@ -1,6 +1,8 @@
 #include "lock/types.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "common/string_util.h"
 
@@ -50,6 +52,17 @@ LockMode ModeFromBits(int bits) {
 }
 
 }  // namespace
+
+void KeyList::Assign(const int64_t* keys, size_t n) {
+  if (n > kCapacity) {
+    std::fprintf(stderr,
+                 "KeyList: %zu keys exceed the inline capacity of %zu\n", n,
+                 kCapacity);
+    std::abort();
+  }
+  std::copy(keys, keys + n, keys_.begin());
+  size_ = static_cast<uint8_t>(n);
+}
 
 bool ModeCovers(LockMode held, LockMode requested) {
   int h = ModeBits(held);

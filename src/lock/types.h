@@ -21,8 +21,12 @@
 #ifndef ACCDB_LOCK_TYPES_H_
 #define ACCDB_LOCK_TYPES_H_
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -126,6 +130,44 @@ using AssertionId = uint32_t;
 inline constexpr ActorId kNoActor = 0;
 inline constexpr AssertionId kNoAssertion = 0;
 
+// Run-time discriminator keys of a request or holder, stored inline: every
+// statement builds a request and every conflict check compares keys, so
+// they must not live on the heap. kCapacity bounds the key arity of every
+// workload (the widest today has 3 keys). Building a longer list aborts
+// instead of truncating: a dropped key would change which assertion
+// instance or step target the lock names.
+class KeyList {
+ public:
+  static constexpr size_t kCapacity = 4;
+
+  KeyList() = default;
+  KeyList(std::initializer_list<int64_t> keys) {
+    Assign(keys.begin(), keys.size());
+  }
+  // Implicit: key vectors (assertion instances, program keys) convert
+  // wherever a request is built from them.
+  KeyList(const std::vector<int64_t>& keys) {  // NOLINT(runtime/explicit)
+    Assign(keys.data(), keys.size());
+  }
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  int64_t operator[](size_t i) const { return keys_[i]; }
+  const int64_t* begin() const { return keys_.data(); }
+  const int64_t* end() const { return keys_.data() + size_; }
+
+  friend bool operator==(const KeyList& a, const KeyList& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  // Aborts (with a message on stderr) when n > kCapacity.
+  void Assign(const int64_t* keys, size_t n);
+
+  std::array<int64_t, kCapacity> keys_{};
+  uint8_t size_ = 0;
+};
+
 // Per-request (and, once granted, per-holder) metadata consulted by the
 // conflict resolver.
 struct RequestContext {
@@ -146,7 +188,7 @@ struct RequestContext {
   // {order_id}) used by kIfSameKey interference refinement. For conventional
   // requests these describe the writing step's target; for kAssert they
   // describe the assertion instance.
-  std::vector<int64_t> keys;
+  KeyList keys;
 
   // True for requests issued by a compensating step. Compensating steps win
   // deadlocks: if such a request closes a cycle, the other cycle members are

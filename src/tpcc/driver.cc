@@ -157,13 +157,14 @@ WorkloadResult RunWorkload(const WorkloadConfig& config) {
     }
     result.sim_seconds = sim.Run();
     result.lock_stats = engine.lock_manager().stats();
-    result.step_latency_hist = engine.metrics().step_latency;
-    result.txn_latency_hist = engine.metrics().txn_latency;
-    result.lock_wait_hist = engine.metrics().lock_wait;
-    result.assertions_audited = engine.metrics().assertions_audited;
-    result.assertion_violations = engine.metrics().assertion_violations;
+    acc::EngineMetrics metrics = engine.MetricsSnapshot();
+    result.step_latency_hist = metrics.step_latency;
+    result.txn_latency_hist = metrics.txn_latency;
+    result.lock_wait_hist = metrics.lock_wait;
+    result.assertions_audited = metrics.assertions_audited;
+    result.assertion_violations = metrics.assertion_violations;
     result.first_assertion_violation =
-        engine.metrics().first_assertion_violation;
+        std::move(metrics.first_assertion_violation);
   }
 
   ConsistencyReport consistency =

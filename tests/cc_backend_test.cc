@@ -319,10 +319,14 @@ TEST_F(CcBackendTest, DoomedExecutionScansNeverShowDuplicateKeys) {
         // Both a buffered and a committed row now carry key 1.
         ACCDB_ASSIGN_OR_RETURN(auto all, c.ScanPkPrefix(*kv_, Key()));
         EXPECT_EQ(all.size(), 1u);
-        if (!all.empty()) EXPECT_EQ(all[0].second[1].AsInt64(), 100);
+        if (!all.empty()) {
+          EXPECT_EQ(all[0].second[1].AsInt64(), 100);
+        }
         ACCDB_ASSIGN_OR_RETURN(auto min, c.MinPkPrefix(*kv_, Key()));
         EXPECT_TRUE(min.has_value());
-        if (min.has_value()) EXPECT_EQ(min->second[1].AsInt64(), 100);
+        if (min.has_value()) {
+          EXPECT_EQ(min->second[1].AsInt64(), 100);
+        }
         return Status::Ok();  // Insert-key validation must fail.
       });
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();

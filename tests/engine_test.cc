@@ -430,7 +430,7 @@ TEST_F(EngineTest, SerializableBlocksUntilCommit) {
         std::string("p") + tag, [=, &trace, this](TxnContext& ctx) -> Status {
           ACCDB_RETURN_IF_ERROR(ctx.RunStep(
               step_inc_, {1}, AssertionInstance{},
-              [=, &trace](TxnContext& c) -> Status {
+              [=, &trace, this](TxnContext& c) -> Status {
                 // Record only after the (possibly blocking) lock is held.
                 ACCDB_ASSIGN_OR_RETURN(int64_t v,
                                        c.ReadVariable(*counter_a_, true));
@@ -439,7 +439,7 @@ TEST_F(EngineTest, SerializableBlocksUntilCommit) {
               }));
           ctx.Compute(pause);
           return ctx.RunStep(step_inc_, {1}, AssertionInstance{},
-                             [=, &trace](TxnContext& c) -> Status {
+                             [=, &trace, this](TxnContext& c) -> Status {
                                ACCDB_ASSIGN_OR_RETURN(
                                    int64_t v,
                                    c.ReadVariable(*counter_a_, true));

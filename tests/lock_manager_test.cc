@@ -13,8 +13,8 @@ namespace {
 
 class RecordingListener : public LockManager::Listener {
  public:
-  void OnGranted(TxnId txn) override { granted.push_back(txn); }
-  void OnWaiterAborted(TxnId txn) override { aborted.push_back(txn); }
+  void OnGranted(TxnId txn, void*) override { granted.push_back(txn); }
+  void OnWaiterAborted(TxnId txn, void*) override { aborted.push_back(txn); }
 
   std::vector<TxnId> granted;
   std::vector<TxnId> aborted;
@@ -591,6 +591,138 @@ TEST_F(LockManagerTest, FullyReleasedItemsLeaveNothingBehind) {
   EXPECT_EQ(lm_.ItemCountForTest(), 0u);
   std::string violation;
   EXPECT_TRUE(lm_.CheckIndexConsistency(&violation)) << violation;
+}
+
+uint64_t TotalReleaseVisits(const LockManager& lm) {
+  uint64_t visits = 0;
+  for (size_t p = 0; p < lm.partition_count(); ++p) {
+    visits += lm.PartitionReleaseVisitsForTest(p);
+  }
+  return visits;
+}
+
+TEST_F(LockManagerTest, ReleasingOneInstanceKeepsAnotherOnSharedItems) {
+  // Two instances of one assertion, held by one transaction, overlap on b.
+  const ItemId a = ItemId::Row(1, 1);
+  const ItemId b = ItemId::Row(1, 2);
+  const ItemId c = ItemId::Row(1, 3);
+  RequestContext first;
+  first.assertion = 7;
+  first.assertion_instance = 1;
+  RequestContext second = first;
+  second.assertion_instance = 2;
+  for (const ItemId& item : {a, b}) {
+    lm_.GrantUnconditional(1, item, LockMode::kAssert, first);
+  }
+  for (const ItemId& item : {b, c}) {
+    lm_.GrantUnconditional(1, item, LockMode::kAssert, second);
+  }
+  std::string violation;
+  ASSERT_TRUE(lm_.CheckIndexConsistency(&violation)) << violation;
+
+  const uint64_t visits = TotalReleaseVisits(lm_);
+  lm_.ReleaseAssertion(1, 7, 1);
+  EXPECT_EQ(TotalReleaseVisits(lm_), visits + 2);  // a and b, nothing else.
+  EXPECT_EQ(lm_.HolderCount(a), 0u);
+  EXPECT_EQ(lm_.HolderCount(b), 1u);
+  EXPECT_TRUE(lm_.HoldsAssertion(1, b, 7));
+  EXPECT_TRUE(lm_.HoldsAssertion(1, c, 7));
+  EXPECT_EQ(lm_.HeldItemCount(1), 2u);
+  // The audit checks the surviving instance's list against the holders.
+  EXPECT_TRUE(lm_.CheckIndexConsistency(&violation)) << violation;
+
+  lm_.ReleaseAssertion(1, 7, 1);  // Already consumed: visits nothing.
+  EXPECT_EQ(TotalReleaseVisits(lm_), visits + 2);
+  lm_.ReleaseAssertion(1, 7, 2);
+  EXPECT_EQ(TotalReleaseVisits(lm_), visits + 4);
+  EXPECT_EQ(lm_.HeldItemCount(1), 0u);
+  EXPECT_EQ(lm_.ItemCountForTest(), 0u);
+  EXPECT_TRUE(lm_.CheckIndexConsistency(&violation)) << violation;
+}
+
+TEST_F(LockManagerTest, MergedStepEndLeavesMarksAndNoConventionalLock) {
+  // One step wrote r1 twice and r2 once, under an IX on their table, and
+  // marks r3, which it never locked.
+  const ItemId table = ItemId::Table(1);
+  const ItemId r1 = ItemId::Row(1, 11);
+  const ItemId r2 = ItemId::Row(1, 12);
+  const ItemId r3 = ItemId::Row(1, 13);
+  EXPECT_EQ(Req(1, table, LockMode::kIX), Outcome::kGranted);
+  EXPECT_EQ(Req(1, r1, LockMode::kX), Outcome::kGranted);
+  EXPECT_EQ(Req(1, r2, LockMode::kX), Outcome::kGranted);
+  // A reader queued behind r2 is granted by the step end.
+  EXPECT_EQ(Req(2, r2, LockMode::kS), Outcome::kWaiting);
+
+  LockManager::StepMarks marks;
+  marks.comp = {r1, table, r1, table, r2, table, r3};
+  marks.assert_ctx.assertion = 9;
+  marks.assert_ctx.assertion_instance = 3;
+  marks.asserts = {r1, r1, r2};
+  const LockManager::Stats before = lm_.StatsSnapshot();
+  const uint64_t visits = TotalReleaseVisits(lm_);
+  lm_.ReleaseConventional(1, marks);
+
+  // Every mark requested counts, repeats included.
+  EXPECT_EQ(lm_.StatsSnapshot().unconditional_grants,
+            before.unconditional_grants + 10);
+  EXPECT_EQ(lm_.StatsSnapshot().release_calls, before.release_calls + 1);
+  // One visit per conventionally held item; r3's mark is not a release.
+  EXPECT_EQ(TotalReleaseVisits(lm_), visits + 3);
+  for (const ItemId& row : {r1, r2}) {
+    EXPECT_TRUE(lm_.Holds(1, row, LockMode::kComp));
+    EXPECT_TRUE(lm_.Holds(1, row, LockMode::kAssert));
+    EXPECT_FALSE(lm_.Holds(1, row, LockMode::kIS));  // No conventional mode.
+  }
+  EXPECT_EQ(lm_.HolderCount(r1), 2u);  // Repeats installed once.
+  EXPECT_TRUE(lm_.Holds(1, table, LockMode::kComp));
+  EXPECT_FALSE(lm_.Holds(1, table, LockMode::kIS));
+  EXPECT_EQ(lm_.HolderCount(table), 1u);
+  EXPECT_TRUE(lm_.Holds(1, r3, LockMode::kComp));
+  EXPECT_TRUE(lm_.Holds(2, r2, LockMode::kS));
+  EXPECT_EQ(listener_.granted, std::vector<TxnId>{2});
+  std::string violation;
+  EXPECT_TRUE(lm_.CheckIndexConsistency(&violation)) << violation;
+
+  lm_.ReleaseAssertion(1, 9, 3);
+  EXPECT_FALSE(lm_.Holds(1, r1, LockMode::kAssert));
+  EXPECT_TRUE(lm_.Holds(1, r1, LockMode::kComp));
+  lm_.ReleaseAll(1);
+  lm_.ReleaseAll(2);
+  EXPECT_EQ(lm_.ItemCountForTest(), 0u);
+  EXPECT_TRUE(lm_.CheckIndexConsistency(&violation)) << violation;
+}
+
+TEST_F(LockManagerTest, WaiterTagComesBackWithTheGrant) {
+  class TagListener : public LockManager::Listener {
+   public:
+    void OnGranted(TxnId, void* tag) override { granted = tag; }
+    void OnWaiterAborted(TxnId, void*) override {}
+    void* granted = nullptr;
+  } tags;
+  lm_.set_listener(&tags);
+  int waiter_env = 0;
+  EXPECT_EQ(Req(1, item_, LockMode::kX), Outcome::kGranted);
+  EXPECT_EQ(lm_.Request(2, item_, LockMode::kX, {}, &waiter_env),
+            Outcome::kWaiting);
+  lm_.ReleaseAll(1);
+  EXPECT_EQ(tags.granted, &waiter_env);
+  lm_.ReleaseAll(2);
+}
+
+// --- Inline key lists ---
+
+TEST(KeyListTest, HoldsUpToCapacityAndComparesByValue) {
+  const KeyList keys = {1, 2, 3, 4};
+  EXPECT_EQ(keys.size(), KeyList::kCapacity);
+  EXPECT_EQ(keys[3], 4);
+  EXPECT_EQ(keys, KeyList(std::vector<int64_t>{1, 2, 3, 4}));
+  EXPECT_FALSE(keys == (KeyList{1, 2, 3}));
+  EXPECT_TRUE(KeyList{}.empty());
+}
+
+TEST(KeyListDeathTest, OverflowAbortsInsteadOfTruncating) {
+  const std::vector<int64_t> five = {1, 2, 3, 4, 5};
+  EXPECT_DEATH({ KeyList keys(five); }, "exceed the inline capacity");
 }
 
 // --- Conventional bitmask fast path ---

@@ -39,8 +39,10 @@ class StripedRouter : public LockManager::Listener {
   StripedRouter(std::vector<runtime::ThreadExecutionEnv>* envs)
       : envs_(envs) {}
 
-  void OnGranted(TxnId txn) override { EnvOf(txn).LockGranted(txn); }
-  void OnWaiterAborted(TxnId txn) override { EnvOf(txn).LockAborted(txn); }
+  void OnGranted(TxnId txn, void*) override { EnvOf(txn).LockGranted(txn); }
+  void OnWaiterAborted(TxnId txn, void*) override {
+    EnvOf(txn).LockAborted(txn);
+  }
 
  private:
   runtime::ThreadExecutionEnv& EnvOf(TxnId txn) {

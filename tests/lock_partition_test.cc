@@ -3,8 +3,9 @@
 // the compensation-breaks-cycle rule spanning partitions, release-path
 // partition isolation (a txn's release latches only the partitions its
 // holder index names), and stats-shard conservation (summing the partition
-// shards, the wait-tier shard and release_calls reproduces the single-latch
-// totals — and the merged totals are identical for any partition count).
+// shards, the wait-tier shard and the directory-stripe shards reproduces
+// the single-latch totals — and the merged totals are identical for any
+// partition count).
 
 #include <gtest/gtest.h>
 
@@ -20,8 +21,8 @@ namespace {
 
 class RecordingListener : public LockManager::Listener {
  public:
-  void OnGranted(TxnId txn) override { granted.push_back(txn); }
-  void OnWaiterAborted(TxnId txn) override { aborted.push_back(txn); }
+  void OnGranted(TxnId txn, void*) override { granted.push_back(txn); }
+  void OnWaiterAborted(TxnId txn, void*) override { aborted.push_back(txn); }
 
   std::vector<TxnId> granted;
   std::vector<TxnId> aborted;
@@ -189,6 +190,7 @@ LockManager::Stats RunScriptedScenario(LockManager& lm,
   EXPECT_EQ(lm.Request(3, a, LockMode::kX, {}), Outcome::kWaiting);
   EXPECT_EQ(lm.Request(1, b, LockMode::kX, {}), Outcome::kGranted);
   EXPECT_EQ(lm.Request(1, b, LockMode::kS, {}), Outcome::kGranted);  // Covered.
+  lm.RecordCoveredRequest(1);  // Covered, answered by the caller.
   EXPECT_EQ(lm.Request(2, c, LockMode::kS, {}), Outcome::kGranted);
   EXPECT_EQ(lm.Request(2, c, LockMode::kX, {}), Outcome::kGranted);  // Upgrade.
   RequestContext actx;
@@ -200,7 +202,10 @@ LockManager::Stats RunScriptedScenario(LockManager& lm,
   EXPECT_EQ(lm.Request(2, b, LockMode::kX, {}), Outcome::kWaiting);
   EXPECT_EQ(lm.Request(1, c, LockMode::kX, {}), Outcome::kAborted);
   lm.CancelWaiter(4);
-  lm.ReleaseConventional(1);
+  // A merged step end: b's mark rides b's release, the table's is separate.
+  LockManager::StepMarks marks;
+  marks.comp = {b, ItemId::Table(1)};
+  lm.ReleaseConventional(1, marks);
   lm.ReleaseAll(1);
   lm.ReleaseAll(2);
   lm.ReleaseAll(3);
@@ -248,12 +253,12 @@ TEST(LockPartitionStatsTest, MergedStatsIdenticalAcrossPartitionCounts) {
   EXPECT_GT(runs[0].waits, 0u);
   EXPECT_EQ(runs[0].deadlocks, 1u);
   EXPECT_EQ(runs[0].upgrades, 1u);
-  EXPECT_EQ(runs[0].unconditional_grants, 1u);
+  EXPECT_EQ(runs[0].unconditional_grants, 3u);
   EXPECT_EQ(runs[0].release_calls, 5u);
 }
 
 // Conservation: the per-partition shards plus the wait-tier shard plus the
-// atomic release counter sum to exactly the merged snapshot — no count is
+// directory-stripe shards sum to exactly the merged snapshot — no count is
 // dropped or double-reported by the sharding.
 TEST(LockPartitionStatsTest, ShardsSumToSnapshot) {
   MatrixConflictResolver resolver;
@@ -268,11 +273,24 @@ TEST(LockPartitionStatsTest, ShardsSumToSnapshot) {
     summed.MergeFrom(lm.PartitionStatsForTest(p));
   }
   summed.MergeFrom(lm.WaitTierStatsForTest());
-  summed.release_calls = merged.release_calls;  // The atomic, not a shard.
+  LockManager::Stats stripes;
+  for (size_t s = 0; s < LockManager::stripe_count(); ++s) {
+    stripes.MergeFrom(lm.StripeStatsForTest(s));
+  }
+  summed.MergeFrom(stripes);
   EXPECT_TRUE(StatsEqual(summed, merged));
+  EXPECT_EQ(summed.requests, merged.requests);
+  EXPECT_EQ(summed.immediate_grants, merged.immediate_grants);
+  EXPECT_EQ(summed.release_calls, merged.release_calls);
+  EXPECT_EQ(summed.unconditional_grants, merged.unconditional_grants);
 
   // The split is as designed: fast-path counters live in the partitions,
-  // wait/deadlock accounting in the wait tier.
+  // wait/deadlock accounting in the wait tier, per-transaction counts
+  // (release calls, step-end marks, covered re-requests) in the stripes.
+  EXPECT_EQ(stripes.release_calls, merged.release_calls);
+  EXPECT_EQ(stripes.unconditional_grants, 2u);
+  EXPECT_EQ(stripes.requests, 1u);
+  EXPECT_EQ(stripes.immediate_grants, 1u);
   LockManager::Stats wait_tier = lm.WaitTierStatsForTest();
   EXPECT_EQ(wait_tier.requests, 0u);
   EXPECT_GT(wait_tier.waits, 0u);

@@ -57,8 +57,8 @@ class StressHarness : public LockManager::Listener {
     return granted;
   }
 
-  void OnGranted(TxnId txn) override { Resolve(txn, true); }
-  void OnWaiterAborted(TxnId txn) override { Resolve(txn, false); }
+  void OnGranted(TxnId txn, void*) override { Resolve(txn, true); }
+  void OnWaiterAborted(TxnId txn, void*) override { Resolve(txn, false); }
 
  private:
   struct Cell {

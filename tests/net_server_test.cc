@@ -117,7 +117,9 @@ TEST_P(NetServerModeTest, MultiClientLoadConservesStats) {
   EXPECT_EQ(stats.committed, load->committed);
   EXPECT_EQ(stats.aborted, load->aborted + load->retries);
   EXPECT_EQ(stats.requests_admitted, load->issued() + load->retries);
-  if (!decomposed) EXPECT_EQ(stats.compensated, 0u);  // 2PL never does.
+  if (!decomposed) {
+    EXPECT_EQ(stats.compensated, 0u);  // 2PL never does.
+  }
   ExpectConsistent(server);
 }
 

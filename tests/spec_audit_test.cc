@@ -76,7 +76,7 @@ class SpecAuditTest : public ::testing::Test {
 
 TEST_F(SpecAuditTest, SoundTableAuditsCleanly) {
   RunBillAgainstInFlightNewOrder();
-  const acc::EngineMetrics& metrics = engine_->metrics();
+  const acc::EngineMetrics metrics = engine_->MetricsSnapshot();
   EXPECT_GT(metrics.assertions_audited, 0u);
   EXPECT_EQ(metrics.assertion_violations, 0u)
       << metrics.first_assertion_violation;
@@ -94,7 +94,7 @@ TEST_F(SpecAuditTest, WeakenedEntryIsDetected) {
   sys_.interference.Set(sys_.prefix_no_partial, sys_.assert_i1,
                         Interference::kNone);
   RunBillAgainstInFlightNewOrder();
-  const acc::EngineMetrics& metrics = engine_->metrics();
+  const acc::EngineMetrics metrics = engine_->MetricsSnapshot();
   EXPECT_GT(metrics.assertion_violations, 0u);
   EXPECT_FALSE(metrics.first_assertion_violation.empty());
 }

@@ -170,7 +170,9 @@ TEST_P(TpccTxnTest, PaymentById) {
   PaymentTxn txn(&db_, input);
   ExecResult result = Execute(txn);
   ASSERT_TRUE(result.status.ok());
-  if (Decomposed()) EXPECT_EQ(result.steps_completed, 3);
+  if (Decomposed()) {
+    EXPECT_EQ(result.steps_completed, 3);
+  }
 
   EXPECT_EQ(WarehouseRow(1)[db_.w_ytd].AsMoney(), w_before + amount);
   EXPECT_EQ(DistrictRow(1, 2)[db_.d_ytd].AsMoney(), d_before + amount);

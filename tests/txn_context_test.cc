@@ -297,6 +297,111 @@ TEST_F(TxnContextTest, ExhaustedStepRetryIsNotCountedAsRetry) {
   EXPECT_EQ(r1.txn_restarts + r2.txn_restarts, 1);
 }
 
+// --- Covered table-intent re-requests ---
+//
+// A table-item request that a mode the transaction holds covers is answered
+// by TxnContext itself: counted as one request and one immediate grant (in
+// the transaction's directory-stripe shard), without visiting the table's
+// partition. Anything that is not covered must still reach the partition.
+
+// Counters of the partition that owns `rows_`'s table item.
+lock::LockManager::Stats TablePartitionStats(Engine& engine,
+                                             const storage::Table& table) {
+  const lock::LockManager& lm = engine.lock_manager();
+  return lm.PartitionStatsForTest(
+      lm.PartitionIndex(lock::ItemId::Table(table.id())));
+}
+
+// Takes the table intent (IX when `for_update`, else IS) and no row lock:
+// the key prefix matches no row.
+Status TouchTable(TxnContext& c, const storage::Table& table,
+                  bool for_update) {
+  return c.ScanPkPrefix(table, Key(int64_t{999}), for_update).status();
+}
+
+TEST_F(TxnContextTest, CoveredTableIntentSkipsThePartition) {
+  lock::LockManager& lm = engine_->lock_manager();
+  Status status = RunBody([&](TxnContext& c) -> Status {
+    ACCDB_RETURN_IF_ERROR(TouchTable(c, *rows_, /*for_update=*/true));
+    for (bool for_update : {true, false}) {  // IX again, then IS under IX.
+      const lock::LockManager::Stats before = lm.StatsSnapshot();
+      const lock::LockManager::Stats part_before =
+          TablePartitionStats(*engine_, *rows_);
+      ACCDB_RETURN_IF_ERROR(TouchTable(c, *rows_, for_update));
+      const lock::LockManager::Stats after = lm.StatsSnapshot();
+      const lock::LockManager::Stats part_after =
+          TablePartitionStats(*engine_, *rows_);
+      EXPECT_EQ(after.requests, before.requests + 1);
+      EXPECT_EQ(after.immediate_grants, before.immediate_grants + 1);
+      EXPECT_EQ(part_after.requests, part_before.requests);
+      EXPECT_EQ(part_after.immediate_grants, part_before.immediate_grants);
+      EXPECT_EQ(part_after.upgrades, part_before.upgrades);
+    }
+    EXPECT_TRUE(lm.Holds(c.txn_id(), lock::ItemId::Table(rows_->id()),
+                         lock::LockMode::kIX));
+    return Status::Ok();
+  });
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
+TEST_F(TxnContextTest, TableIntentUpgradeReachesThePartition) {
+  Status status = RunBody([&](TxnContext& c) -> Status {
+    ACCDB_RETURN_IF_ERROR(TouchTable(c, *rows_, /*for_update=*/false));
+    const lock::LockManager::Stats before =
+        TablePartitionStats(*engine_, *rows_);
+    ACCDB_RETURN_IF_ERROR(TouchTable(c, *rows_, /*for_update=*/true));
+    const lock::LockManager::Stats after =
+        TablePartitionStats(*engine_, *rows_);
+    EXPECT_EQ(after.requests, before.requests + 1);
+    EXPECT_EQ(after.upgrades, before.upgrades + 1);
+    return Status::Ok();
+  });
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
+TEST_F(TxnContextTest, FirstTableRequestAfterStepEndReachesThePartition) {
+  int reached = 0;
+  auto touch_and_count = [&](TxnContext& c) -> Status {
+    const uint64_t before = TablePartitionStats(*engine_, *rows_).requests;
+    ACCDB_RETURN_IF_ERROR(TouchTable(c, *rows_, /*for_update=*/true));
+    reached += TablePartitionStats(*engine_, *rows_).requests - before;
+    return Status::Ok();
+  };
+  FunctionProgram prog("two_steps", [&](TxnContext& ctx) -> Status {
+    ACCDB_RETURN_IF_ERROR(
+        ctx.RunStep(step_, {}, AssertionInstance{}, touch_and_count));
+    return ctx.RunStep(step_, {}, AssertionInstance{}, touch_and_count);
+  });
+  ExecResult result = engine_->Execute(prog, env_, ExecMode::kAccDecomposed);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.steps_completed, 2);
+  EXPECT_EQ(reached, 2);  // The step end released the IX; step 2 re-takes it.
+}
+
+TEST_F(TxnContextTest, FirstTableRequestAfterRollbackReachesThePartition) {
+  uint64_t compensation_reached = 0;
+  FunctionProgram prog("abort_second", [&](TxnContext& ctx) -> Status {
+    ACCDB_RETURN_IF_ERROR(ctx.RunStep(
+        step_, {}, AssertionInstance{}, [&](TxnContext& c) {
+          return TouchTable(c, *rows_, /*for_update=*/true);
+        }));
+    return ctx.RunStep(step_, {}, AssertionInstance{}, [&](TxnContext& c) {
+      ACCDB_RETURN_IF_ERROR(TouchTable(c, *rows_, /*for_update=*/true));
+      return Status::Aborted("voluntary");  // Rolls the step back.
+    });
+  });
+  prog.set_compensation(step_, [&](TxnContext& c, int) -> Status {
+    const uint64_t before = TablePartitionStats(*engine_, *rows_).requests;
+    ACCDB_RETURN_IF_ERROR(TouchTable(c, *rows_, /*for_update=*/true));
+    compensation_reached =
+        TablePartitionStats(*engine_, *rows_).requests - before;
+    return Status::Ok();
+  });
+  ExecResult result = engine_->Execute(prog, env_, ExecMode::kAccDecomposed);
+  EXPECT_TRUE(result.compensated);
+  EXPECT_EQ(compensation_reached, 1u);
+}
+
 TEST_F(TxnContextTest, ComputeUsesClientTimeNotServer) {
   ImmediateEnv env;
   FunctionProgram prog("compute", [&](TxnContext& ctx) {
