@@ -15,8 +15,10 @@ endif()
 # interference_test carries the spec-derivation cross-check (DESIGN.md §14)
 # and spec_audit_test the runtime auditor — both sanitized here so the
 # derivation and audit paths run under ASan+UBSan in every CI matrix cell.
+# storage_test runs the index-key encoder's sign and shift arithmetic under
+# UBSan; txn_context_test the keyed-read rebinding paths.
 set(SMOKE_TESTS sim_test lock_manager_test engine_test cc_backend_test
-    interference_test spec_audit_test)
+    interference_test spec_audit_test storage_test txn_context_test)
 
 include(ProcessorCount)
 ProcessorCount(NPROC)

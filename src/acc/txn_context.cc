@@ -154,16 +154,17 @@ Status TxnContext::LockRowForStatement(const storage::Table& table,
 
 Result<storage::Row> TxnContext::ReadByKey(const storage::Table& table,
                                            const storage::CompositeKey& key,
-                                           bool for_update) {
+                                           bool for_update,
+                                           storage::RowId* bound_id) {
   // Lock-free backends first (for_update is meaningless without locks: OCC
   // conflicts are caught by validation, snapshot readers never write).
   if (occ_ != nullptr) {
-    Result<storage::Row> row = occ_->ReadByKey(table, key);
+    Result<storage::Row> row = occ_->ReadByKey(table, key, bound_id);
     ChargeStatement(engine_->config().costs.read_statement);
     return row;
   }
   if (snapshot_.has_value()) {
-    Result<storage::Row> row = snapshot_->ReadByKey(table, key);
+    Result<storage::Row> row = snapshot_->ReadByKey(table, key, bound_id);
     ChargeStatement(engine_->config().costs.read_statement);
     return row;
   }
@@ -171,7 +172,10 @@ Result<storage::Row> TxnContext::ReadByKey(const storage::Table& table,
       lock::ItemId::Table(table.id()),
       for_update ? lock::LockMode::kIX : lock::LockMode::kIS));
   // Lookup-lock-verify loop: the binding key -> row id may change while we
-  // wait for the row lock.
+  // wait for the row lock. Primary keys are immutable and RowIds are never
+  // reused (InsertWithId restores a row under its own key), so a row that
+  // is still live after the lock is still bound to `key`; a dead one was
+  // deleted (and perhaps re-inserted under a new id) while we waited.
   for (;;) {
     std::optional<storage::RowId> id = table.LookupPk(key);
     if (!id.has_value()) {
@@ -180,14 +184,11 @@ Result<storage::Row> TxnContext::ReadByKey(const storage::Table& table,
                               storage::CompositeKeyToString(key));
     }
     ACCDB_RETURN_IF_ERROR(LockRowForStatement(table, *id, for_update));
-    std::optional<storage::RowId> again = table.LookupPk(key);
-    if (again == id) {
-      const storage::Row* row = table.Get(*id);
-      assert(row != nullptr);
+    if (const storage::Row* row = table.Get(*id)) {
       ChargeStatement(engine_->config().costs.read_statement);
+      if (bound_id != nullptr) *bound_id = *id;
       return *row;
     }
-    // The row was deleted (and possibly re-inserted) while we waited; retry.
   }
 }
 

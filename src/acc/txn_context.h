@@ -73,9 +73,12 @@ class TxnContext {
 
   // --- Data access (only valid inside a step body) ---
 
+  // `bound_id` (if set) receives the RowId the key is bound to, for a
+  // following Update/Delete without a second index walk.
   Result<storage::Row> ReadByKey(const storage::Table& table,
                                  const storage::CompositeKey& key,
-                                 bool for_update = false);
+                                 bool for_update = false,
+                                 storage::RowId* bound_id = nullptr);
   Result<storage::Row> ReadById(const storage::Table& table,
                                 storage::RowId id, bool for_update = false);
   // Rows whose primary key extends `prefix`, in key order.

@@ -33,15 +33,6 @@ Status ApplyToImage(storage::Row& row,
 
 }  // namespace
 
-bool OccBuffer::IsPrefixOf(const storage::CompositeKey& prefix,
-                           const storage::CompositeKey& full) {
-  if (prefix.size() > full.size()) return false;
-  for (size_t i = 0; i < prefix.size(); ++i) {
-    if (!(prefix[i] == full[i])) return false;
-  }
-  return true;
-}
-
 void OccBuffer::RecordRead(const lock::ItemId& item) {
   if (reads_.find(item) != reads_.end()) return;
   reads_.emplace(item, versions_->Version(item));
@@ -59,26 +50,29 @@ const OccBuffer::Write* OccBuffer::FindWrite(const lock::ItemId& item) const {
   return it == writes_.end() ? nullptr : &it->second;
 }
 
-std::vector<const OccBuffer::BufferedInsert*> OccBuffer::MatchingInserts(
-    const storage::Table& table, const storage::CompositeKey& prefix) const {
-  std::vector<const BufferedInsert*> out;
+std::vector<OccBuffer::InsertKeys::const_iterator> OccBuffer::MatchingInserts(
+    const storage::Table& table, const std::string& encoded_prefix) const {
+  std::vector<InsertKeys::const_iterator> out;
   auto by_key = insert_keys_.find(table.id());
   if (by_key == insert_keys_.end()) return out;
-  for (const auto& [key, id] : by_key->second) {
-    if (!IsPrefixOf(prefix, key)) continue;
-    auto it = inserts_.find(id);
-    assert(it != inserts_.end());
-    out.push_back(&it->second);
+  for (auto it = by_key->second.lower_bound(encoded_prefix);
+       it != by_key->second.end() && it->first.starts_with(encoded_prefix);
+       ++it) {
+    out.push_back(it);
   }
   return out;
 }
 
 Result<storage::Row> OccBuffer::ReadByKey(const storage::Table& table,
-                                          const storage::CompositeKey& key) {
+                                          const storage::CompositeKey& key,
+                                          storage::RowId* bound_id) {
   if (auto by_key = insert_keys_.find(table.id());
       by_key != insert_keys_.end()) {
-    auto it = by_key->second.find(key);
-    if (it != by_key->second.end()) return inserts_.at(it->second).row;
+    auto it = by_key->second.find(storage::EncodeKey(key));
+    if (it != by_key->second.end()) {
+      if (bound_id != nullptr) *bound_id = it->second;
+      return inserts_.at(it->second).row;
+    }
   }
   // Lookup-record-copy-verify: the key binding may move between the pk
   // lookup and the row copy (a concurrent committer deleting/re-inserting);
@@ -90,6 +84,7 @@ Result<storage::Row> OccBuffer::ReadByKey(const storage::Table& table,
                               storage::CompositeKeyToString(key));
     }
     const lock::ItemId item = lock::ItemId::Row(table.id(), *id);
+    if (bound_id != nullptr) *bound_id = *id;
     if (const Write* w = FindWrite(item)) {
       if (w->kind == Write::Kind::kDelete) {
         return Status::NotFound(table.name() + " " +
@@ -127,16 +122,17 @@ Result<storage::Row> OccBuffer::ReadById(const storage::Table& table,
 Result<std::vector<std::pair<storage::RowId, storage::Row>>>
 OccBuffer::ScanPkPrefix(const storage::Table& table,
                         const storage::CompositeKey& prefix) {
+  const std::vector<int>& key_columns = table.schema().key_columns;
   // Committed rows (already in key order), with buffered deletes hidden and
-  // buffered updates substituted. Keys kept alongside for the merge below.
-  std::vector<std::pair<storage::CompositeKey,
-                        std::pair<storage::RowId, storage::Row>>>
+  // buffered updates substituted. Encoded keys kept alongside for the merge
+  // below.
+  std::vector<std::pair<std::string, std::pair<storage::RowId, storage::Row>>>
       committed;
   for (storage::RowId id : table.ScanPkPrefix(prefix)) {
     const lock::ItemId item = lock::ItemId::Row(table.id(), id);
     if (const Write* w = FindWrite(item)) {
       if (w->kind == Write::Kind::kDelete) continue;
-      committed.emplace_back(table.schema().KeyOf(w->after),
+      committed.emplace_back(storage::EncodeKeyColumns(w->after, key_columns),
                              std::make_pair(id, w->after));
       continue;
     }
@@ -144,16 +140,15 @@ OccBuffer::ScanPkPrefix(const storage::Table& table,
     std::optional<storage::Row> copy = table.GetCopy(id);
     if (!copy.has_value()) continue;  // Deleted since the index walk.
     // Key first: emplace arguments are unsequenced relative to the move.
-    storage::CompositeKey row_key = table.schema().KeyOf(*copy);
+    std::string row_key = storage::EncodeKeyColumns(*copy, key_columns);
     committed.emplace_back(std::move(row_key),
                            std::make_pair(id, *std::move(copy)));
   }
 
-  std::vector<const BufferedInsert*> buffered =
-      MatchingInserts(table, prefix);
+  std::vector<InsertKeys::const_iterator> buffered =
+      MatchingInserts(table, storage::EncodeKey(prefix));
   std::vector<std::pair<storage::RowId, storage::Row>> out;
   out.reserve(committed.size() + buffered.size());
-  storage::CompositeKeyCompare less;
   size_t ci = 0, bi = 0;
   while (ci < committed.size() || bi < buffered.size()) {
     // Insert() refuses a duplicate of a visible committed row, but another
@@ -164,18 +159,17 @@ OccBuffer::ScanPkPrefix(const storage::Table& table,
     const bool have_c = ci < committed.size();
     const bool have_b = bi < buffered.size();
     if (have_c && have_b) {
-      if (less(committed[ci].first, buffered[bi]->key)) {
+      if (committed[ci].first < buffered[bi]->first) {
         out.push_back(std::move(committed[ci++].second));
         continue;
       }
-      if (!less(buffered[bi]->key, committed[ci].first)) ++ci;  // Equal keys.
+      if (committed[ci].first == buffered[bi]->first) ++ci;  // Equal keys.
     } else if (have_c) {
       out.push_back(std::move(committed[ci++].second));
       continue;
     }
-    const BufferedInsert* ins = buffered[bi++];
-    auto by_key = insert_keys_.find(table.id());
-    out.emplace_back(by_key->second.at(ins->key), ins->row);
+    const storage::RowId vid = buffered[bi++]->second;
+    out.emplace_back(vid, inserts_.at(vid).row);
   }
   return out;
 }
@@ -186,8 +180,8 @@ OccBuffer::MinPkPrefix(const storage::Table& table,
   using MinResult = std::optional<std::pair<storage::RowId, storage::Row>>;
   for (int attempt = 0; attempt < kReadRetryLimit; ++attempt) {
     std::optional<storage::RowId> id = table.MinPkPrefix(prefix);
-    std::optional<std::pair<storage::CompositeKey,
-                            std::pair<storage::RowId, storage::Row>>>
+    std::optional<
+        std::pair<std::string, std::pair<storage::RowId, storage::Row>>>
         committed;
     if (id.has_value()) {
       const lock::ItemId item = lock::ItemId::Row(table.id(), *id);
@@ -200,32 +194,30 @@ OccBuffer::MinPkPrefix(const storage::Table& table,
           if (all->empty()) return MinResult();
           return MinResult(std::move(all->front()));
         }
-        committed.emplace(table.schema().KeyOf(w->after),
-                          std::make_pair(*id, w->after));
+        committed.emplace(
+            storage::EncodeKeyColumns(w->after, table.schema().key_columns),
+            std::make_pair(*id, w->after));
       } else {
         RecordRead(item);
         std::optional<storage::Row> copy = table.GetCopy(*id);
         if (!copy.has_value()) continue;  // Raced a committed delete; retry.
-        storage::CompositeKey row_key = table.schema().KeyOf(*copy);
+        std::string row_key =
+            storage::EncodeKeyColumns(*copy, table.schema().key_columns);
         committed.emplace(std::move(row_key),
                           std::make_pair(*id, *std::move(copy)));
       }
     }
-    std::vector<const BufferedInsert*> buffered =
-        MatchingInserts(table, prefix);
+    std::vector<InsertKeys::const_iterator> buffered =
+        MatchingInserts(table, storage::EncodeKey(prefix));
     if (buffered.empty()) {
       if (!committed.has_value()) return MinResult();
       return MinResult(std::move(committed->second));
     }
-    const BufferedInsert* min_buffered = buffered.front();
-    storage::CompositeKeyCompare less;
+    const auto& [min_key, min_vid] = *buffered.front();
     // Ties (same doomed-execution race as in ScanPkPrefix) resolve to the
     // buffered row.
-    if (!committed.has_value() ||
-        !less(committed->first, min_buffered->key)) {
-      return MinResult(std::make_pair(
-          insert_keys_.at(table.id()).at(min_buffered->key),
-          min_buffered->row));
+    if (!committed.has_value() || !(committed->first < min_key)) {
+      return MinResult(std::make_pair(min_vid, inserts_.at(min_vid).row));
     }
     return MinResult(std::move(committed->second));
   }
@@ -237,33 +229,26 @@ OccBuffer::ScanIndexPrefix(const storage::Table& table,
                            storage::IndexId index,
                            const storage::CompositeKey& prefix) {
   const std::vector<int>& index_columns = table.IndexColumns(index);
-  auto index_key_of = [&](const storage::Row& row) {
-    storage::CompositeKey key;
-    key.reserve(index_columns.size());
-    for (int col : index_columns) {
-      key.push_back(row[static_cast<size_t>(col)]);
-    }
-    return key;
-  };
+  const std::string encoded_prefix = storage::EncodeKey(prefix);
+  using Entry =
+      std::pair<std::string, std::pair<storage::RowId, storage::Row>>;
 
   // Committed entries in (index key, RowId) order with the write overlay.
   // Buffered updates never touch indexed columns (UpdateColumns forbids
   // it), so substituting the after-image preserves the order.
-  std::vector<std::pair<storage::CompositeKey,
-                        std::pair<storage::RowId, storage::Row>>>
-      committed;
+  std::vector<Entry> committed;
   for (storage::RowId id : table.ScanIndexPrefix(index, prefix)) {
     const lock::ItemId item = lock::ItemId::Row(table.id(), id);
     if (const Write* w = FindWrite(item)) {
       if (w->kind == Write::Kind::kDelete) continue;
-      committed.emplace_back(index_key_of(w->after),
+      committed.emplace_back(storage::EncodeKeyColumns(w->after, index_columns),
                              std::make_pair(id, w->after));
       continue;
     }
     RecordRead(item);
     std::optional<storage::Row> copy = table.GetCopy(id);
     if (!copy.has_value()) continue;
-    storage::CompositeKey ikey = index_key_of(*copy);
+    std::string ikey = storage::EncodeKeyColumns(*copy, index_columns);
     committed.emplace_back(std::move(ikey),
                            std::make_pair(id, *std::move(copy)));
   }
@@ -271,19 +256,15 @@ OccBuffer::ScanIndexPrefix(const storage::Table& table,
   // Buffered inserts whose index key extends the prefix, sorted by
   // (index key, virtual id). Virtual ids have the top bit set, so they
   // compare above every real id — consistent with "inserted after".
-  std::vector<std::pair<storage::CompositeKey,
-                        std::pair<storage::RowId, storage::Row>>>
-      buffered;
+  std::vector<Entry> buffered;
   for (const auto& [vid, ins] : inserts_) {
     if (ins.table != &table) continue;
-    storage::CompositeKey ikey = index_key_of(ins.row);
-    if (!IsPrefixOf(prefix, ikey)) continue;
+    std::string ikey = storage::EncodeKeyColumns(ins.row, index_columns);
+    if (!ikey.starts_with(encoded_prefix)) continue;
     buffered.emplace_back(std::move(ikey), std::make_pair(vid, ins.row));
   }
-  storage::CompositeKeyCompare key_less;
-  auto entry_less = [&key_less](const auto& a, const auto& b) {
-    if (key_less(a.first, b.first)) return true;
-    if (key_less(b.first, a.first)) return false;
+  auto entry_less = [](const Entry& a, const Entry& b) {
+    if (int c = a.first.compare(b.first); c != 0) return c < 0;
     return a.second.first < b.second.first;
   };
   std::sort(buffered.begin(), buffered.end(), entry_less);
@@ -305,8 +286,9 @@ Result<storage::RowId> OccBuffer::Insert(storage::Table& table,
                                          storage::Row row) {
   ACCDB_RETURN_IF_ERROR(table.schema().Validate(row));
   storage::CompositeKey key = table.schema().KeyOf(row);
+  std::string encoded = storage::EncodeKey(key);
   auto& by_key = insert_keys_[table.id()];
-  if (by_key.find(key) != by_key.end()) {
+  if (by_key.find(encoded) != by_key.end()) {
     return Status::AlreadyExists(table.name() + " duplicate key");
   }
   // Visible committed duplicate? (An early, advisory check — commit-time
@@ -324,7 +306,7 @@ Result<storage::RowId> OccBuffer::Insert(storage::Table& table,
     }
   }
   const storage::RowId vid = kOccVirtualBit | next_virtual_++;
-  by_key.emplace(key, vid);
+  by_key.emplace(std::move(encoded), vid);
   inserts_.emplace(vid, BufferedInsert{&table, std::move(row),
                                        std::move(key)});
   return vid;
@@ -369,7 +351,7 @@ Status OccBuffer::Delete(storage::Table& table, storage::RowId id) {
   if (IsOccVirtual(id)) {
     auto it = inserts_.find(id);
     if (it == inserts_.end()) return Status::NotFound(table.name() + " row");
-    insert_keys_[table.id()].erase(it->second.key);
+    insert_keys_[table.id()].erase(storage::EncodeKey(it->second.key));
     inserts_.erase(it);
     return Status::Ok();
   }

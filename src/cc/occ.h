@@ -52,6 +52,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -126,8 +127,11 @@ class OccBuffer {
 
   // --- Reads (overlay buffered writes on committed state) ---
 
+  // `bound_id` (if set) receives the RowId the key resolved to: a virtual
+  // id for this transaction's own buffered insert.
   Result<storage::Row> ReadByKey(const storage::Table& table,
-                                 const storage::CompositeKey& key);
+                                 const storage::CompositeKey& key,
+                                 storage::RowId* bound_id = nullptr);
   Result<storage::Row> ReadById(const storage::Table& table,
                                 storage::RowId id);
   Result<std::vector<std::pair<storage::RowId, storage::Row>>> ScanPkPrefix(
@@ -189,12 +193,13 @@ class OccBuffer {
   // The buffered write for a committed row, or nullptr.
   const Write* FindWrite(const lock::ItemId& item) const;
 
-  // Buffered inserts of `table` whose key extends `prefix`, in key order.
-  std::vector<const BufferedInsert*> MatchingInserts(
-      const storage::Table& table, const storage::CompositeKey& prefix) const;
+  // Buffered inserts by storage::EncodeKey(primary key) -> virtual id.
+  using InsertKeys = std::map<std::string, storage::RowId>;
 
-  static bool IsPrefixOf(const storage::CompositeKey& prefix,
-                         const storage::CompositeKey& full);
+  // Entries of insert_keys_ for `table` whose encoded key starts with
+  // `encoded_prefix`, in key order.
+  std::vector<InsertKeys::const_iterator> MatchingInserts(
+      const storage::Table& table, const std::string& encoded_prefix) const;
 
   OccVersionTable* versions_;
 
@@ -202,14 +207,11 @@ class OccBuffer {
   std::unordered_map<lock::ItemId, Write, lock::ItemIdHash> writes_;
   std::vector<lock::ItemId> write_order_;  // First-write order for apply.
   // Buffered inserts by virtual id (ordered: apply follows insertion order,
-  // so real RowIds are assigned in program order) and by (table, key) for
-  // scan overlays and duplicate checks.
+  // so real RowIds are assigned in program order) and by (table, encoded
+  // key) for scan overlays and duplicate checks. Scans merge the overlay
+  // with storage in the same byte order the table's indexes use.
   std::map<storage::RowId, BufferedInsert> inserts_;
-  std::unordered_map<
-      storage::TableId,
-      std::map<storage::CompositeKey, storage::RowId,
-               storage::CompositeKeyCompare>>
-      insert_keys_;
+  std::unordered_map<storage::TableId, InsertKeys> insert_keys_;
   storage::RowId next_virtual_ = 0;
 };
 

@@ -167,12 +167,14 @@ Result<storage::Row> SnapshotReader::ReadById(const storage::Table& table,
 }
 
 Result<storage::Row> SnapshotReader::ReadByKey(
-    const storage::Table& table, const storage::CompositeKey& key) const {
+    const storage::Table& table, const storage::CompositeKey& key,
+    storage::RowId* bound_id) const {
   std::optional<storage::RowId> id = table.LookupPk(key);
   if (!id.has_value()) {
     return Status::NotFound(table.name() + " " +
                             storage::CompositeKeyToString(key));
   }
+  if (bound_id != nullptr) *bound_id = *id;
   std::optional<storage::Row> row = Reconstruct(table, *id);
   if (!row.has_value()) {
     return Status::NotFound(table.name() + " " +

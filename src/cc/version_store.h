@@ -141,8 +141,10 @@ class SnapshotReader {
 
   Result<storage::Row> ReadById(const storage::Table& table,
                                 storage::RowId id) const;
+  // `bound_id` (if set) receives the RowId the key resolved to.
   Result<storage::Row> ReadByKey(const storage::Table& table,
-                                 const storage::CompositeKey& key) const;
+                                 const storage::CompositeKey& key,
+                                 storage::RowId* bound_id = nullptr) const;
   Result<std::vector<std::pair<storage::RowId, storage::Row>>> ScanPkPrefix(
       const storage::Table& table, const storage::CompositeKey& prefix) const;
   Result<std::optional<std::pair<storage::RowId, storage::Row>>> MinPkPrefix(

@@ -87,16 +87,14 @@ Status NewOrderTxn::Run(acc::TxnContext& ctx) {
           if (abort_at_last_item_ && last) {
             return Status::Aborted("requested abort at final item");
           }
-          ACCDB_ASSIGN_OR_RETURN(
-              storage::Row stock_row,
-              c.ReadByKey(*sys.stock, Key(req.item_id), /*for_update=*/true));
+          storage::RowId stock_id = storage::kInvalidRowId;
+          ACCDB_ASSIGN_OR_RETURN(storage::Row stock_row,
+                                 c.ReadByKey(*sys.stock, Key(req.item_id),
+                                             /*for_update=*/true, &stock_id));
           int64_t level = stock_row[sys.s_level].AsInt64();
           int64_t filled = std::min(level, req.quantity);
-          std::optional<storage::RowId> stock_id =
-              sys.stock->LookupPk(Key(req.item_id));
-          assert(stock_id.has_value());
           ACCDB_RETURN_IF_ERROR(
-              c.Update(*sys.stock, *stock_id,
+              c.Update(*sys.stock, stock_id,
                        {{sys.s_level, Value(level - filled)}}));
           ACCDB_ASSIGN_OR_RETURN(
               storage::RowId line,
@@ -121,13 +119,12 @@ Status NewOrderTxn::CompensateOrder(acc::TxnContext& ctx, OrderSystem& sys,
   for (const auto& [line_id, line_row] : lines) {
     int64_t item_id = line_row[sys.ol_item_id].AsInt64();
     int64_t filled = line_row[sys.ol_filled].AsInt64();
-    ACCDB_ASSIGN_OR_RETURN(
-        storage::Row stock_row,
-        ctx.ReadByKey(*sys.stock, Key(item_id), /*for_update=*/true));
-    std::optional<storage::RowId> stock_id = sys.stock->LookupPk(Key(item_id));
-    assert(stock_id.has_value());
+    storage::RowId stock_id = storage::kInvalidRowId;
+    ACCDB_ASSIGN_OR_RETURN(storage::Row stock_row,
+                           ctx.ReadByKey(*sys.stock, Key(item_id),
+                                         /*for_update=*/true, &stock_id));
     ACCDB_RETURN_IF_ERROR(ctx.Update(
-        *sys.stock, *stock_id,
+        *sys.stock, stock_id,
         {{sys.s_level, Value(stock_row[sys.s_level].AsInt64() + filled)}}));
     ACCDB_RETURN_IF_ERROR(ctx.Delete(*sys.orderlines, line_id));
   }
@@ -182,8 +179,9 @@ Status BillTxn::Run(acc::TxnContext& ctx) {
   return ctx.RunStep(
       sys.step_bill, /*step_keys=*/{order_id_}, acc::AssertionInstance{},
       [&](acc::TxnContext& c) -> Status {
-        Result<storage::Row> order =
-            c.ReadByKey(*sys.orders, Key(order_id_), /*for_update=*/true);
+        storage::RowId order_row = storage::kInvalidRowId;
+        Result<storage::Row> order = c.ReadByKey(
+            *sys.orders, Key(order_id_), /*for_update=*/true, &order_row);
         if (!order.ok()) {
           if (order.status().code() == StatusCode::kNotFound) {
             return Status::Ok();  // Nothing to bill.
@@ -204,11 +202,8 @@ Status BillTxn::Run(acc::TxnContext& ctx) {
           total += price_row[sys.p_price].AsMoney() *
                    line[sys.ol_filled].AsInt64();
         }
-        std::optional<storage::RowId> order_row =
-            sys.orders->LookupPk(Key(order_id_));
-        assert(order_row.has_value());
         ACCDB_RETURN_IF_ERROR(
-            c.Update(*sys.orders, *order_row, {{sys.o_price, Value(total)}}));
+            c.Update(*sys.orders, order_row, {{sys.o_price, Value(total)}}));
         total_ = total;
         return Status::Ok();
       });

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 #include "common/string_util.h"
 
@@ -46,6 +47,11 @@ Table::Table(TableId id, std::string name, Schema schema, size_t shards)
   assert((shards == 1 ||
           schema_.columns[schema_.key_columns[0]].type == ColumnType::kInt64) &&
          "sharding routes by the first key column, which must be an int64");
+  for (int c : schema_.key_columns) {
+    if (schema_.columns[c].type == ColumnType::kDouble) {
+      double_key_columns_.push_back(c);
+    }
+  }
   shards_.reserve(shards);
   for (size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -71,6 +77,11 @@ size_t Table::size() const {
 IndexId Table::AddIndex(std::string name, std::vector<int> columns) {
   assert(!columns.empty());
   const bool routable = columns[0] == schema_.key_columns[0];
+  for (int c : columns) {
+    if (schema_.columns[c].type == ColumnType::kDouble) {
+      double_key_columns_.push_back(c);
+    }
+  }
   indexes_.push_back(IndexDef{std::move(name), std::move(columns), routable});
   for (auto& shard : shards_) {
     std::unique_lock<std::shared_mutex> latch(shard->mu);
@@ -85,30 +96,43 @@ const std::vector<int>& Table::IndexColumns(IndexId index) const {
   return indexes_[index].columns;
 }
 
-CompositeKey Table::IndexKeyOf(const IndexDef& index, const Row& row) const {
-  CompositeKey key;
-  key.reserve(index.columns.size());
-  for (int c : index.columns) key.push_back(row[c]);
+std::string Table::IndexEntry(std::string key, RowId id) {
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    key.push_back(static_cast<char>(id >> shift));
+  }
   return key;
+}
+
+RowId Table::IndexEntryId(const std::string& entry) {
+  RowId id = 0;
+  for (size_t i = entry.size() - 8; i < entry.size(); ++i) {
+    id = (id << 8) | static_cast<unsigned char>(entry[i]);
+  }
+  return id;
 }
 
 void Table::IndexInsert(Shard& shard, RowId id, const Row& row) {
   for (size_t i = 0; i < indexes_.size(); ++i) {
-    shard.index_entries[i].emplace(IndexKeyOf(indexes_[i], row), id);
+    shard.index_entries[i].insert(
+        IndexEntry(EncodeKeyColumns(row, indexes_[i].columns), id));
   }
 }
 
 void Table::IndexErase(Shard& shard, RowId id, const Row& row) {
   for (size_t i = 0; i < indexes_.size(); ++i) {
-    auto [lo, hi] =
-        shard.index_entries[i].equal_range(IndexKeyOf(indexes_[i], row));
-    for (auto it = lo; it != hi; ++it) {
-      if (it->second == id) {
-        shard.index_entries[i].erase(it);
-        break;
-      }
+    shard.index_entries[i].erase(
+        IndexEntry(EncodeKeyColumns(row, indexes_[i].columns), id));
+  }
+}
+
+Status Table::CheckKeyable(const Row& row) const {
+  for (int c : double_key_columns_) {
+    if (std::isnan(row[c].AsDouble())) {
+      return Status::InvalidArgument(StrFormat(
+          "column %s: NaN in a key", schema_.columns[c].name.c_str()));
     }
   }
+  return Status::Ok();
 }
 
 Result<RowId> Table::Insert(const Row& row) {
@@ -118,15 +142,18 @@ Result<RowId> Table::Insert(const Row& row) {
 Result<RowId> Table::Insert(const Row& row,
                             const std::function<void(RowId)>& before_publish) {
   ACCDB_RETURN_IF_ERROR(schema_.Validate(row));
-  CompositeKey key = schema_.KeyOf(row);
-  const size_t s = ShardOfKey(key);
+  ACCDB_RETURN_IF_ERROR(CheckKeyable(row));
+  const size_t s = ShardOfValue(row[schema_.key_columns[0]]);
   Shard& shard = *shards_[s];
   std::unique_lock<std::shared_mutex> latch(shard.mu);
-  if (shard.pk_index.contains(key)) {
-    return Status::AlreadyExists(name_ + " pk " + CompositeKeyToString(key));
+  auto [slot, inserted] = shard.pk_index.try_emplace(
+      EncodeKeyColumns(row, schema_.key_columns), kInvalidRowId);
+  if (!inserted) {
+    return Status::AlreadyExists(name_ + " pk " +
+                                 CompositeKeyToString(schema_.KeyOf(row)));
   }
   RowId id = MakeRowId(s, shard.next_seq++);
-  shard.pk_index.emplace(std::move(key), id);
+  slot->second = id;
   IndexInsert(shard, id, row);
   shard.rows.emplace(id, row);
   // Still under the exclusive latch: the id exists in every index but no
@@ -137,8 +164,8 @@ Result<RowId> Table::Insert(const Row& row,
 
 Status Table::InsertWithId(RowId id, const Row& row) {
   ACCDB_RETURN_IF_ERROR(schema_.Validate(row));
-  CompositeKey key = schema_.KeyOf(row);
-  const size_t s = ShardOfKey(key);
+  ACCDB_RETURN_IF_ERROR(CheckKeyable(row));
+  const size_t s = ShardOfValue(row[schema_.key_columns[0]]);
   if (RowIdShard(id) != s) {
     return Status::InvalidArgument(
         StrFormat("row id %llu belongs to shard %zu, key routes to %zu",
@@ -150,10 +177,12 @@ Status Table::InsertWithId(RowId id, const Row& row) {
     return Status::AlreadyExists(StrFormat("row id %llu live",
                                            static_cast<unsigned long long>(id)));
   }
-  if (shard.pk_index.contains(key)) {
-    return Status::AlreadyExists(name_ + " pk " + CompositeKeyToString(key));
+  if (!shard.pk_index
+           .try_emplace(EncodeKeyColumns(row, schema_.key_columns), id)
+           .second) {
+    return Status::AlreadyExists(name_ + " pk " +
+                                 CompositeKeyToString(schema_.KeyOf(row)));
   }
-  shard.pk_index.emplace(std::move(key), id);
   IndexInsert(shard, id, row);
   shard.rows.emplace(id, row);
   shard.next_seq = std::max(shard.next_seq, RowIdSeq(id) + 1);
@@ -193,6 +222,7 @@ Status Table::Update(RowId id, const Row& row) {
                                       static_cast<unsigned long long>(id)));
   }
   ACCDB_RETURN_IF_ERROR(schema_.Validate(row));
+  ACCDB_RETURN_IF_ERROR(CheckKeyable(row));
   if (schema_.KeyOf(row) != schema_.KeyOf(it->second)) {
     return Status::InvalidArgument("primary key update not supported");
   }
@@ -239,9 +269,16 @@ Status Table::UpdateColumns(
       }
     }
   }
-  if (touches_index) IndexErase(shard, id, it->second);
+  if (touches_index) {
+    Row updated = it->second;
+    for (const auto& [col, value] : updates) updated[col] = value;
+    ACCDB_RETURN_IF_ERROR(CheckKeyable(updated));
+    IndexErase(shard, id, it->second);
+    it->second = std::move(updated);
+    IndexInsert(shard, id, it->second);
+    return Status::Ok();
+  }
   for (const auto& [col, value] : updates) it->second[col] = value;
-  if (touches_index) IndexInsert(shard, id, it->second);
   return Status::Ok();
 }
 
@@ -258,51 +295,44 @@ Status Table::Delete(RowId id) {
     return Status::NotFound(StrFormat("row id %llu",
                                       static_cast<unsigned long long>(id)));
   }
-  shard.pk_index.erase(schema_.KeyOf(it->second));
+  shard.pk_index.erase(EncodeKeyColumns(it->second, schema_.key_columns));
   IndexErase(shard, id, it->second);
   shard.rows.erase(it);
   return Status::Ok();
 }
 
 std::optional<RowId> Table::LookupPk(const CompositeKey& key) const {
+  const std::string encoded = EncodeKey(key);
   const Shard& shard = *shards_[ShardOfKey(key)];
   std::shared_lock<std::shared_mutex> latch(shard.mu);
-  auto it = shard.pk_index.find(key);
+  auto it = shard.pk_index.find(encoded);
   if (it == shard.pk_index.end()) return std::nullopt;
   return it->second;
 }
 
-bool Table::IsPrefix(const CompositeKey& prefix, const CompositeKey& full) {
-  if (prefix.size() > full.size()) return false;
-  for (size_t i = 0; i < prefix.size(); ++i) {
-    if (!(prefix[i] == full[i])) return false;
-  }
-  return true;
-}
 
 std::vector<RowId> Table::ScanPkPrefix(const CompositeKey& prefix) const {
+  const std::string encoded = EncodeKey(prefix);
   std::vector<RowId> out;
   if (!prefix.empty() || shards_.size() == 1) {
     const Shard& shard =
         *shards_[prefix.empty() ? 0 : ShardOfKey(prefix)];
     std::shared_lock<std::shared_mutex> latch(shard.mu);
-    for (auto it = shard.pk_index.lower_bound(prefix);
-         it != shard.pk_index.end() && IsPrefix(prefix, it->first); ++it) {
+    for (auto it = shard.pk_index.lower_bound(encoded);
+         it != shard.pk_index.end() && it->first.starts_with(encoded); ++it) {
       out.push_back(it->second);
     }
     return out;
   }
   // Unprefixed scan of a sharded table: collect per shard (one latch at a
   // time), then merge into global key order.
-  std::vector<std::pair<CompositeKey, RowId>> merged;
+  std::vector<std::pair<std::string, RowId>> merged;
   for (const auto& shard : shards_) {
     std::shared_lock<std::shared_mutex> latch(shard->mu);
-    for (const auto& [key, id] : shard->pk_index) merged.emplace_back(key, id);
+    merged.insert(merged.end(), shard->pk_index.begin(),
+                  shard->pk_index.end());
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) {
-              return CompositeKeyCompare{}(a.first, b.first);
-            });
+  std::sort(merged.begin(), merged.end());
   out.reserve(merged.size());
   for (auto& [key, id] : merged) out.push_back(id);
   return out;
@@ -310,22 +340,23 @@ std::vector<RowId> Table::ScanPkPrefix(const CompositeKey& prefix) const {
 
 std::optional<RowId> Table::MinPkPrefix(const CompositeKey& prefix) const {
   if (!prefix.empty() || shards_.size() == 1) {
+    const std::string encoded = EncodeKey(prefix);
     const Shard& shard =
         *shards_[prefix.empty() ? 0 : ShardOfKey(prefix)];
     std::shared_lock<std::shared_mutex> latch(shard.mu);
-    auto it = shard.pk_index.lower_bound(prefix);
-    if (it == shard.pk_index.end() || !IsPrefix(prefix, it->first)) {
+    auto it = shard.pk_index.lower_bound(encoded);
+    if (it == shard.pk_index.end() || !it->first.starts_with(encoded)) {
       return std::nullopt;
     }
     return it->second;
   }
   std::optional<RowId> best;
-  CompositeKey best_key;
+  std::string best_key;
   for (const auto& shard : shards_) {
     std::shared_lock<std::shared_mutex> latch(shard->mu);
     auto it = shard->pk_index.begin();
     if (it == shard->pk_index.end()) continue;
-    if (!best.has_value() || CompositeKeyCompare{}(it->first, best_key)) {
+    if (!best.has_value() || it->first < best_key) {
       best = it->second;
       best_key = it->first;
     }
@@ -337,20 +368,22 @@ std::vector<RowId> Table::LookupIndex(IndexId index,
                                       const CompositeKey& key) const {
   assert(index < indexes_.size());
   std::vector<RowId> out;
-  const bool one_shard =
-      shards_.size() == 1 || (indexes_[index].routable && !key.empty());
-  if (one_shard) {
-    const Shard& shard = *shards_[key.empty() ? 0 : ShardOfKey(key)];
+  // Only a full index key can equal an entry's key.
+  if (key.size() != indexes_[index].columns.size()) return out;
+  const std::string encoded = EncodeKey(key);
+  auto collect = [&](const Shard& shard) {
     std::shared_lock<std::shared_mutex> latch(shard.mu);
-    auto [lo, hi] = shard.index_entries[index].equal_range(key);
-    for (auto it = lo; it != hi; ++it) out.push_back(it->second);
-  } else {
-    for (const auto& shard : shards_) {
-      std::shared_lock<std::shared_mutex> latch(shard->mu);
-      auto [lo, hi] = shard->index_entries[index].equal_range(key);
-      for (auto it = lo; it != hi; ++it) out.push_back(it->second);
+    const auto& entries = shard.index_entries[index];
+    for (auto it = entries.lower_bound(encoded);
+         it != entries.end() && it->starts_with(encoded); ++it) {
+      out.push_back(IndexEntryId(*it));
     }
+  };
+  if (shards_.size() == 1 || indexes_[index].routable) {
+    collect(*shards_[ShardOfKey(key)]);
+    return out;  // Entries of one key are in RowId order.
   }
+  for (const auto& shard : shards_) collect(*shard);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -358,6 +391,7 @@ std::vector<RowId> Table::LookupIndex(IndexId index,
 std::vector<RowId> Table::ScanIndexPrefix(IndexId index,
                                           const CompositeKey& prefix) const {
   assert(index < indexes_.size());
+  const std::string encoded = EncodeKey(prefix);
   std::vector<RowId> out;
   const bool one_shard =
       shards_.size() == 1 || (indexes_[index].routable && !prefix.empty());
@@ -365,30 +399,26 @@ std::vector<RowId> Table::ScanIndexPrefix(IndexId index,
     const Shard& shard = *shards_[prefix.empty() ? 0 : ShardOfKey(prefix)];
     std::shared_lock<std::shared_mutex> latch(shard.mu);
     const auto& entries = shard.index_entries[index];
-    for (auto it = entries.lower_bound(prefix);
-         it != entries.end() && IsPrefix(prefix, it->first); ++it) {
-      out.push_back(it->second);
+    for (auto it = entries.lower_bound(encoded);
+         it != entries.end() && it->starts_with(encoded); ++it) {
+      out.push_back(IndexEntryId(*it));
     }
     return out;
   }
-  // Merge across shards; ties on the full index key break by RowId so the
-  // result is deterministic regardless of shard count.
-  std::vector<std::pair<CompositeKey, RowId>> merged;
+  // Merge across shards. Entries end in their RowId, so sorting them orders
+  // by index key and then by RowId, whatever the shard count.
+  std::vector<std::string> merged;
   for (const auto& shard : shards_) {
     std::shared_lock<std::shared_mutex> latch(shard->mu);
     const auto& entries = shard->index_entries[index];
-    for (auto it = entries.lower_bound(prefix);
-         it != entries.end() && IsPrefix(prefix, it->first); ++it) {
-      merged.emplace_back(it->first, it->second);
+    for (auto it = entries.lower_bound(encoded);
+         it != entries.end() && it->starts_with(encoded); ++it) {
+      merged.push_back(*it);
     }
   }
-  std::sort(merged.begin(), merged.end(), [](const auto& a, const auto& b) {
-    if (CompositeKeyCompare{}(a.first, b.first)) return true;
-    if (CompositeKeyCompare{}(b.first, a.first)) return false;
-    return a.second < b.second;
-  });
+  std::sort(merged.begin(), merged.end());
   out.reserve(merged.size());
-  for (auto& [key, id] : merged) out.push_back(id);
+  for (const std::string& entry : merged) out.push_back(IndexEntryId(entry));
   return out;
 }
 

@@ -31,6 +31,16 @@
 // not by the latch: unordered_map guarantees reference stability, so a Row*
 // stays valid across unrelated inserts/erases, and transaction-level row
 // locks exclude writer/reader overlap on the same row.
+//
+// Indexes: the primary and secondary indexes are ordered maps keyed by the
+// byte encoding of the key (EncodeKey in value.h), so every comparison is a
+// memcmp and a prefix scan is a lower_bound plus a byte-prefix test. A
+// secondary-index entry appends the RowId's big-endian bytes to the encoded
+// index key: equal index keys order by RowId. Primary keys are immutable and
+// RowIds are never reused, so a RowId found under a key stays bound to that
+// key for as long as the row is live: a caller that looked a key up and then
+// locked the row re-checks its binding with Get(id) != nullptr, not with a
+// second index walk.
 
 #ifndef ACCDB_STORAGE_TABLE_H_
 #define ACCDB_STORAGE_TABLE_H_
@@ -41,6 +51,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -192,9 +203,10 @@ class Table {
   struct Shard {
     mutable std::shared_mutex mu;
     std::unordered_map<RowId, Row> rows;
-    std::map<CompositeKey, RowId, CompositeKeyCompare> pk_index;
-    std::vector<std::multimap<CompositeKey, RowId, CompositeKeyCompare>>
-        index_entries;
+    // EncodeKey(primary key) -> RowId.
+    std::map<std::string, RowId> pk_index;
+    // Per secondary index: IndexEntry(encoded index key, RowId).
+    std::vector<std::set<std::string>> index_entries;
     RowId next_seq = 1;
   };
 
@@ -204,18 +216,22 @@ class Table {
     return ShardOfValue(key[0]);
   }
 
-  CompositeKey IndexKeyOf(const IndexDef& index, const Row& row) const;
+  // Secondary-index entry: the encoded index key, then the id's 8
+  // big-endian bytes.
+  static std::string IndexEntry(std::string key, RowId id);
+  static RowId IndexEntryId(const std::string& entry);
   void IndexInsert(Shard& shard, RowId id, const Row& row);
   void IndexErase(Shard& shard, RowId id, const Row& row);
-
-  // True if `key` is a prefix of `full`.
-  static bool IsPrefix(const CompositeKey& prefix, const CompositeKey& full);
+  // kInvalidArgument if a key or indexed column of `row` holds NaN.
+  Status CheckKeyable(const Row& row) const;
 
   const TableId id_;
   const std::string name_;
   const Schema schema_;
 
   std::vector<IndexDef> indexes_;
+  // Double-typed primary-key and secondary-index columns (NaN-checked).
+  std::vector<int> double_key_columns_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

@@ -48,29 +48,45 @@ class Value {
   // Debug rendering, e.g. `42`, `"abc"`, `$12.34`.
   std::string ToString() const;
 
-  // Equality requires identical types.
+  // Equality requires identical types. Values are ordered only through
+  // their key encoding (EncodeKey below).
   friend bool operator==(const Value& a, const Value& b) {
     return a.v_ == b.v_;
   }
-  // Ordering is defined only between same-typed values (asserted).
-  friend bool operator<(const Value& a, const Value& b);
 
  private:
   std::variant<int64_t, double, Money, std::string> v_;
 };
 
 // Composite key over an ordered set of column values; used by primary and
-// secondary indexes. Lexicographic ordering; a shorter key that is a prefix
-// of a longer one sorts first (this gives natural prefix range scans).
+// secondary indexes. Keys order lexicographically, column by column, and a
+// shorter key that is a prefix of a longer one sorts first (this gives
+// natural prefix range scans). That order is defined by EncodeKey.
 using CompositeKey = std::vector<Value>;
 
-bool CompositeKeyLess(const CompositeKey& a, const CompositeKey& b);
-
-struct CompositeKeyCompare {
-  bool operator()(const CompositeKey& a, const CompositeKey& b) const {
-    return CompositeKeyLess(a, b);
-  }
-};
+// Order-preserving, self-delimiting byte encoding of keys, the one
+// definition of key order: the storage indexes and the OCC write buffer
+// keep encoded keys and compare them bytewise (memcmp order).
+//   - For keys whose columns have the same types, byte order of the
+//     encodings equals the lexicographic key order above.
+//   - Each column encodes to a prefix-free code, so a key prefix encodes to
+//     a byte prefix and a byte prefix names a key prefix: a prefix scan is a
+//     lower_bound plus compare(0, prefix.size(), prefix).
+// Per column type:
+//   - int64 and Money (cents): a tag byte 0x80+L for n >= 0 or 0x7F-L for
+//     n < 0, then the low L bytes of n big-endian, where L (0..8) is the
+//     fewest bytes that hold n (n >= 0) or ~n (n < 0). Small ids take 1-3
+//     bytes, so TPC-C keys fit std::string's inline buffer.
+//   - double: 8 bytes, the IEEE bits big-endian with the sign bit flipped
+//     (negatives: all bits flipped); -0.0 encodes as 0.0. NaN is unordered
+//     and must not reach a key (tables reject it; asserted here).
+//   - string: the bytes with each 0x00 escaped as 0x00 0xFF, then the
+//     terminator 0x00 0x01.
+std::string EncodeKey(const CompositeKey& key);
+// EncodeKey of the key made of `values` at positions `columns` (a row's
+// primary or index key), without building the CompositeKey.
+std::string EncodeKeyColumns(const std::vector<Value>& values,
+                             const std::vector<int>& columns);
 
 std::string CompositeKeyToString(const CompositeKey& key);
 

@@ -67,12 +67,13 @@ Status DeliveryTxn::Run(acc::TxnContext& ctx) {
           ACCDB_RETURN_IF_ERROR(c.Delete(*db.new_order, oldest->first));
 
           Think(c);
+          storage::RowId order_id = storage::kInvalidRowId;
           ACCDB_ASSIGN_OR_RETURN(Row order,
                                  c.ReadByKey(*db.orders, Key(w, d, o),
-                                             /*for_update=*/true));
+                                             /*for_update=*/true, &order_id));
           int64_t cust = order[db.o_c_id].AsInt64();
           ACCDB_RETURN_IF_ERROR(
-              c.Update(*db.orders, *db.orders->LookupPk(Key(w, d, o)),
+              c.Update(*db.orders, order_id,
                        {{db.o_carrier_id, Value(input_.carrier_id)}}));
 
           Think(c);
@@ -88,11 +89,12 @@ Status DeliveryTxn::Run(acc::TxnContext& ctx) {
           }
 
           Think(c);
+          storage::RowId cust_id = storage::kInvalidRowId;
           ACCDB_ASSIGN_OR_RETURN(Row customer,
                                  c.ReadByKey(*db.customer, Key(w, d, cust),
-                                             /*for_update=*/true));
+                                             /*for_update=*/true, &cust_id));
           ACCDB_RETURN_IF_ERROR(c.Update(
-              *db.customer, *db.customer->LookupPk(Key(w, d, cust)),
+              *db.customer, cust_id,
               {{db.c_balance, Value(customer[db.c_balance].AsMoney() + sum)},
                {db.c_delivery_cnt,
                 Value(customer[db.c_delivery_cnt].AsInt64() + 1)}}));
@@ -119,13 +121,12 @@ Status DeliveryTxn::Compensate(acc::TxnContext& ctx, int completed_steps) {
     ACCDB_RETURN_IF_ERROR(
         ctx.Insert(*db.new_order, {Value(w), Value(it->d), Value(it->o)})
             .status());
-    ACCDB_ASSIGN_OR_RETURN(Row order,
-                           ctx.ReadByKey(*db.orders, Key(w, it->d, it->o),
-                                         /*for_update=*/true));
-    (void)order;
-    ACCDB_RETURN_IF_ERROR(ctx.Update(
-        *db.orders, *db.orders->LookupPk(Key(w, it->d, it->o)),
-        {{db.o_carrier_id, Value(int64_t{0})}}));
+    storage::RowId order_id = storage::kInvalidRowId;
+    ACCDB_RETURN_IF_ERROR(ctx.ReadByKey(*db.orders, Key(w, it->d, it->o),
+                                        /*for_update=*/true, &order_id)
+                              .status());
+    ACCDB_RETURN_IF_ERROR(ctx.Update(*db.orders, order_id,
+                                     {{db.o_carrier_id, Value(int64_t{0})}}));
     ACCDB_ASSIGN_OR_RETURN(
         auto lines, ctx.ScanPkPrefix(*db.order_line, Key(w, it->d, it->o),
                                      /*for_update=*/true));
@@ -134,11 +135,12 @@ Status DeliveryTxn::Compensate(acc::TxnContext& ctx, int completed_steps) {
       ACCDB_RETURN_IF_ERROR(ctx.Update(
           *db.order_line, line_id, {{db.ol_delivery_d, Value(int64_t{0})}}));
     }
+    storage::RowId cust_id = storage::kInvalidRowId;
     ACCDB_ASSIGN_OR_RETURN(Row customer,
                            ctx.ReadByKey(*db.customer, Key(w, it->d, it->c),
-                                         /*for_update=*/true));
+                                         /*for_update=*/true, &cust_id));
     ACCDB_RETURN_IF_ERROR(ctx.Update(
-        *db.customer, *db.customer->LookupPk(Key(w, it->d, it->c)),
+        *db.customer, cust_id,
         {{db.c_balance, Value(customer[db.c_balance].AsMoney() - it->sum)},
          {db.c_delivery_cnt,
           Value(customer[db.c_delivery_cnt].AsInt64() - 1)}}));

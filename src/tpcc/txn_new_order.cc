@@ -40,14 +40,14 @@ Status NewOrderTxn::Phase1(acc::TxnContext& c, double* w_tax, double* d_tax) {
   ACCDB_ASSIGN_OR_RETURN(Row wh, c.ReadByKey(*db.warehouse, Key(w)));
   *w_tax = wh[db.w_tax].AsDouble();
   Think(c);
-  ACCDB_ASSIGN_OR_RETURN(
-      Row dist, c.ReadByKey(*db.district, Key(w, d), /*for_update=*/true));
+  storage::RowId dist_id = storage::kInvalidRowId;
+  ACCDB_ASSIGN_OR_RETURN(Row dist, c.ReadByKey(*db.district, Key(w, d),
+                                               /*for_update=*/true, &dist_id));
   *d_tax = dist[db.d_tax].AsDouble();
   int64_t o = dist[db.d_next_o_id].AsInt64();
   Think(c);
   ACCDB_RETURN_IF_ERROR(
-      c.Update(*db.district, *db.district->LookupPk(Key(w, d)),
-               {{db.d_next_o_id, Value(o + 1)}}));
+      c.Update(*db.district, dist_id, {{db.d_next_o_id, Value(o + 1)}}));
   int64_t all_local = 1;
   for (const NewOrderInput::Line& line : input_.lines) {
     if (line.supply_w_id > 0 && line.supply_w_id != w) all_local = 0;
@@ -94,15 +94,16 @@ Status NewOrderTxn::PhaseLine(acc::TxnContext& c, size_t index, Money* sum) {
                          c.ReadByKey(*db.item, Key(line.item_id)));
   Money price = item_row[db.i_price].AsMoney();
   Think(c);
+  storage::RowId stock_id = storage::kInvalidRowId;
   ACCDB_ASSIGN_OR_RETURN(Row stock_row,
                          c.ReadByKey(*db.stock, Key(supply_w, line.item_id),
-                                     /*for_update=*/true));
+                                     /*for_update=*/true, &stock_id));
   int64_t quantity = stock_row[db.s_quantity].AsInt64();
   int64_t new_quantity = quantity - line.quantity;
   if (new_quantity < 10) new_quantity += 91;
   Think(c);
   ACCDB_RETURN_IF_ERROR(c.Update(
-      *db.stock, *db.stock->LookupPk(Key(supply_w, line.item_id)),
+      *db.stock, stock_id,
       {{db.s_quantity, Value(new_quantity)},
        {db.s_ytd, Value(stock_row[db.s_ytd].AsInt64() + line.quantity)},
        {db.s_order_cnt, Value(stock_row[db.s_order_cnt].AsInt64() + 1)},
@@ -214,11 +215,12 @@ Status NewOrderTxn::CompensateOrder(acc::TxnContext& ctx, TpccDb& db,
     int64_t quantity = line[db.ol_quantity].AsInt64();
     int64_t supply_w = line[db.ol_supply_w_id].AsInt64();
     bool remote = supply_w != w;
+    storage::RowId stock_id = storage::kInvalidRowId;
     ACCDB_ASSIGN_OR_RETURN(Row stock_row,
                            ctx.ReadByKey(*db.stock, Key(supply_w, item_id),
-                                         /*for_update=*/true));
+                                         /*for_update=*/true, &stock_id));
     ACCDB_RETURN_IF_ERROR(ctx.Update(
-        *db.stock, *db.stock->LookupPk(Key(supply_w, item_id)),
+        *db.stock, stock_id,
         {{db.s_quantity, Value(stock_row[db.s_quantity].AsInt64() + quantity)},
          {db.s_ytd, Value(stock_row[db.s_ytd].AsInt64() - quantity)},
          {db.s_order_cnt, Value(stock_row[db.s_order_cnt].AsInt64() - 1)},

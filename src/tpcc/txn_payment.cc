@@ -37,9 +37,11 @@ Status PaymentTxn::Run(acc::TxnContext& ctx) {
       acc::AssertionInstance{db.assert_pay, {w, d}, {}},
       [&](acc::TxnContext& c) -> Status {
         Think(c);
+        storage::RowId wh_id = storage::kInvalidRowId;
         ACCDB_ASSIGN_OR_RETURN(
-            Row wh, c.ReadByKey(*db.warehouse, Key(w), /*for_update=*/true));
-        return c.Update(*db.warehouse, *db.warehouse->LookupPk(Key(w)),
+            Row wh,
+            c.ReadByKey(*db.warehouse, Key(w), /*for_update=*/true, &wh_id));
+        return c.Update(*db.warehouse, wh_id,
                         {{db.w_ytd, Value(wh[db.w_ytd].AsMoney() +
                                           input_.amount)}});
       }));
@@ -51,9 +53,11 @@ Status PaymentTxn::Run(acc::TxnContext& ctx) {
       acc::AssertionInstance{db.assert_pay, {w, d}, {}},
       [&](acc::TxnContext& c) -> Status {
         Think(c);
-        ACCDB_ASSIGN_OR_RETURN(Row dist, c.ReadByKey(*db.district, Key(w, d),
-                                                     /*for_update=*/true));
-        return c.Update(*db.district, *db.district->LookupPk(Key(w, d)),
+        storage::RowId dist_id = storage::kInvalidRowId;
+        ACCDB_ASSIGN_OR_RETURN(
+            Row dist, c.ReadByKey(*db.district, Key(w, d),
+                                  /*for_update=*/true, &dist_id));
+        return c.Update(*db.district, dist_id,
                         {{db.d_ytd, Value(dist[db.d_ytd].AsMoney() +
                                           input_.amount)}});
       }));
@@ -88,9 +92,7 @@ Status PaymentTxn::Run(acc::TxnContext& ctx) {
           ACCDB_ASSIGN_OR_RETURN(
               cust, c.ReadByKey(*db.customer,
                                 Key(input_.c_w_id, input_.c_d_id, input_.c_id),
-                                /*for_update=*/true));
-          cust_row_id = *db.customer->LookupPk(
-              Key(input_.c_w_id, input_.c_d_id, input_.c_id));
+                                /*for_update=*/true, &cust_row_id));
         }
         resolved_c_id_ = cust[db.c_id].AsInt64();
         int64_t payment_cnt = cust[db.c_payment_cnt].AsInt64() + 1;
@@ -119,18 +121,21 @@ Status PaymentTxn::Compensate(acc::TxnContext& ctx, int completed_steps) {
   // Reverse in inverse step order. P3 is the final step: if it completed,
   // the transaction committed, so only P1/P2 prefixes reach compensation.
   if (completed_steps >= 2) {
+    storage::RowId dist_id = storage::kInvalidRowId;
     ACCDB_ASSIGN_OR_RETURN(Row dist, ctx.ReadByKey(*db.district, Key(w, d),
-                                                   /*for_update=*/true));
+                                                   /*for_update=*/true,
+                                                   &dist_id));
     ACCDB_RETURN_IF_ERROR(
-        ctx.Update(*db.district, *db.district->LookupPk(Key(w, d)),
+        ctx.Update(*db.district, dist_id,
                    {{db.d_ytd,
                      Value(dist[db.d_ytd].AsMoney() - input_.amount)}}));
   }
   if (completed_steps >= 1) {
-    ACCDB_ASSIGN_OR_RETURN(
-        Row wh, ctx.ReadByKey(*db.warehouse, Key(w), /*for_update=*/true));
+    storage::RowId wh_id = storage::kInvalidRowId;
+    ACCDB_ASSIGN_OR_RETURN(Row wh, ctx.ReadByKey(*db.warehouse, Key(w),
+                                                 /*for_update=*/true, &wh_id));
     ACCDB_RETURN_IF_ERROR(
-        ctx.Update(*db.warehouse, *db.warehouse->LookupPk(Key(w)),
+        ctx.Update(*db.warehouse, wh_id,
                    {{db.w_ytd,
                      Value(wh[db.w_ytd].AsMoney() - input_.amount)}}));
   }

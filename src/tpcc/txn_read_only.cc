@@ -164,18 +164,21 @@ void RegisterTpccCompensators(TpccDb* db, acc::CompensatorRegistry* registry) {
       }
       Money amount = Money::FromCents(cents);
       if (completed_steps >= 2) {
+        storage::RowId dist_id = storage::kInvalidRowId;
         ACCDB_ASSIGN_OR_RETURN(Row dist,
                                ctx.ReadByKey(*db->district, Key(w, d),
-                                             /*for_update=*/true));
+                                             /*for_update=*/true, &dist_id));
         ACCDB_RETURN_IF_ERROR(ctx.Update(
-            *db->district, *db->district->LookupPk(Key(w, d)),
+            *db->district, dist_id,
             {{db->d_ytd, Value(dist[db->d_ytd].AsMoney() - amount)}}));
       }
       if (completed_steps >= 1) {
+        storage::RowId wh_id = storage::kInvalidRowId;
         ACCDB_ASSIGN_OR_RETURN(Row wh, ctx.ReadByKey(*db->warehouse, Key(w),
-                                                     /*for_update=*/true));
+                                                     /*for_update=*/true,
+                                                     &wh_id));
         ACCDB_RETURN_IF_ERROR(ctx.Update(
-            *db->warehouse, *db->warehouse->LookupPk(Key(w)),
+            *db->warehouse, wh_id,
             {{db->w_ytd, Value(wh[db->w_ytd].AsMoney() - amount)}}));
       }
       return Status::Ok();
@@ -206,11 +209,12 @@ void RegisterTpccCompensators(TpccDb* db, acc::CompensatorRegistry* registry) {
         ACCDB_RETURN_IF_ERROR(
             ctx.Insert(*db->new_order, {Value(w), Value(d), Value(o)})
                 .status());
+        storage::RowId order_id = storage::kInvalidRowId;
+        ACCDB_RETURN_IF_ERROR(ctx.ReadByKey(*db->orders, Key(w, d, o),
+                                            /*for_update=*/true, &order_id)
+                                  .status());
         ACCDB_RETURN_IF_ERROR(
-            ctx.ReadByKey(*db->orders, Key(w, d, o), /*for_update=*/true)
-                .status());
-        ACCDB_RETURN_IF_ERROR(
-            ctx.Update(*db->orders, *db->orders->LookupPk(Key(w, d, o)),
+            ctx.Update(*db->orders, order_id,
                        {{db->o_carrier_id, Value(int64_t{0})}}));
         ACCDB_ASSIGN_OR_RETURN(
             auto lines, ctx.ScanPkPrefix(*db->order_line, Key(w, d, o),
@@ -221,11 +225,12 @@ void RegisterTpccCompensators(TpccDb* db, acc::CompensatorRegistry* registry) {
               ctx.Update(*db->order_line, line_id,
                          {{db->ol_delivery_d, Value(int64_t{0})}}));
         }
+        storage::RowId cust_id = storage::kInvalidRowId;
         ACCDB_ASSIGN_OR_RETURN(Row customer,
                                ctx.ReadByKey(*db->customer, Key(w, d, cust),
-                                             /*for_update=*/true));
+                                             /*for_update=*/true, &cust_id));
         ACCDB_RETURN_IF_ERROR(ctx.Update(
-            *db->customer, *db->customer->LookupPk(Key(w, d, cust)),
+            *db->customer, cust_id,
             {{db->c_balance, Value(customer[db->c_balance].AsMoney() -
                                    Money::FromCents(cents))},
              {db->c_delivery_cnt,

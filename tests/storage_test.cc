@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
+#include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -38,8 +42,8 @@ TEST(ValueTest, EqualityAndOrdering) {
   EXPECT_EQ(Value(3), Value(3));
   EXPECT_FALSE(Value(3) == Value(4));
   EXPECT_FALSE(Value(3) == Value("3"));
-  EXPECT_LT(Value(3), Value(4));
-  EXPECT_LT(Value("a"), Value("b"));
+  EXPECT_LT(EncodeKey(Key(3)), EncodeKey(Key(4)));
+  EXPECT_LT(EncodeKey(Key("a")), EncodeKey(Key("b")));
 }
 
 TEST(ValueTest, ToString) {
@@ -48,15 +52,187 @@ TEST(ValueTest, ToString) {
   EXPECT_EQ(Value(Money::FromCents(150)).ToString(), "$1.50");
 }
 
+bool KeyLess(const CompositeKey& a, const CompositeKey& b) {
+  return EncodeKey(a) < EncodeKey(b);
+}
+
 TEST(CompositeKeyTest, LexicographicOrder) {
-  EXPECT_TRUE(CompositeKeyLess(Key(1, 2), Key(1, 3)));
-  EXPECT_TRUE(CompositeKeyLess(Key(1, 9), Key(2, 0)));
-  EXPECT_FALSE(CompositeKeyLess(Key(2, 0), Key(1, 9)));
+  EXPECT_TRUE(KeyLess(Key(1, 2), Key(1, 3)));
+  EXPECT_TRUE(KeyLess(Key(1, 9), Key(2, 0)));
+  EXPECT_FALSE(KeyLess(Key(2, 0), Key(1, 9)));
 }
 
 TEST(CompositeKeyTest, PrefixSortsFirst) {
-  EXPECT_TRUE(CompositeKeyLess(Key(1), Key(1, 0)));
-  EXPECT_FALSE(CompositeKeyLess(Key(1, 0), Key(1)));
+  EXPECT_TRUE(KeyLess(Key(1), Key(1, 0)));
+  EXPECT_FALSE(KeyLess(Key(1, 0), Key(1)));
+}
+
+// --- Key encoding vs. a lexicographic reference ---
+
+int Sign(int c) { return (c > 0) - (c < 0); }
+
+template <typename T>
+int ThreeWay(const T& a, const T& b) {
+  return (b < a) - (a < b);
+}
+
+// The order EncodeKey must reproduce, spelled out on the values.
+int RefCompareValue(const Value& a, const Value& b) {
+  switch (a.type()) {
+    case ColumnType::kInt64: return ThreeWay(a.AsInt64(), b.AsInt64());
+    case ColumnType::kDouble: return ThreeWay(a.AsDouble(), b.AsDouble());
+    case ColumnType::kMoney:
+      return ThreeWay(a.AsMoney().cents(), b.AsMoney().cents());
+    case ColumnType::kString: return Sign(a.AsString().compare(b.AsString()));
+  }
+  return 0;
+}
+
+int RefCompare(const CompositeKey& a, const CompositeKey& b) {
+  for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
+    if (int c = RefCompareValue(a[i], b[i]); c != 0) return c;
+  }
+  return ThreeWay(a.size(), b.size());
+}
+
+bool RefIsPrefix(const CompositeKey& prefix, const CompositeKey& full) {
+  if (prefix.size() > full.size()) return false;
+  for (size_t i = 0; i < prefix.size(); ++i) {
+    if (RefCompareValue(prefix[i], full[i]) != 0) return false;
+  }
+  return true;
+}
+
+const std::vector<int64_t>& EdgeInts() {
+  static const std::vector<int64_t> kInts = {
+      std::numeric_limits<int64_t>::min(),
+      std::numeric_limits<int64_t>::min() + 1,
+      -65537, -65536, -65535, -257, -256, -255, -2, -1, 0, 1, 2,
+      127, 128, 255, 256, 257, 65535, 65536, 65537,
+      std::numeric_limits<int64_t>::max() - 1,
+      std::numeric_limits<int64_t>::max()};
+  return kInts;
+}
+
+const std::vector<double>& EdgeDoubles() {
+  static const std::vector<double> kDoubles = {
+      -std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::max(), -1e10, -1.5, -1.0,
+      -std::numeric_limits<double>::denorm_min(), -0.0, 0.0,
+      std::numeric_limits<double>::denorm_min(), 0.5, 1.0, 2.25, 1e300,
+      std::numeric_limits<double>::infinity()};
+  return kDoubles;
+}
+
+const std::vector<std::string>& EdgeStrings() {
+  static const std::vector<std::string> kStrings = {
+      std::string(), std::string(1, '\0'), std::string(2, '\0'),
+      std::string("\0\x01", 2), std::string("\0\xff", 2), "\x01", "\xff",
+      "\xff\xff", "a", std::string("a\0", 2), std::string("a\0b", 3),
+      "a\x01", "a\xff", "ab", "b"};
+  return kStrings;
+}
+
+// Every pair: byte order of the encodings equals the reference order, and
+// a key is a prefix of another iff its encoding is a byte prefix.
+void ExpectOrderAndPrefixAgree(const std::vector<CompositeKey>& keys) {
+  std::vector<std::string> encoded;
+  encoded.reserve(keys.size());
+  for (const CompositeKey& key : keys) encoded.push_back(EncodeKey(key));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    for (size_t j = 0; j < keys.size(); ++j) {
+      ASSERT_EQ(Sign(encoded[i].compare(encoded[j])),
+                RefCompare(keys[i], keys[j]))
+          << CompositeKeyToString(keys[i]) << " vs "
+          << CompositeKeyToString(keys[j]);
+      ASSERT_EQ(encoded[j].starts_with(encoded[i]),
+                RefIsPrefix(keys[i], keys[j]))
+          << CompositeKeyToString(keys[i]) << " prefix of "
+          << CompositeKeyToString(keys[j]);
+    }
+  }
+}
+
+TEST(KeyEncodingTest, SingleColumnEdgeValuesKeepValueOrder) {
+  std::vector<CompositeKey> ints, moneys, doubles, strings;
+  for (int64_t n : EdgeInts()) {
+    ints.push_back(Key(n));
+    moneys.push_back(Key(Money::FromCents(n)));
+  }
+  for (double d : EdgeDoubles()) doubles.push_back(Key(d));
+  for (const std::string& str : EdgeStrings()) strings.push_back(Key(str));
+  for (const auto* keys : {&ints, &moneys, &doubles, &strings}) {
+    std::vector<CompositeKey> with_empty = *keys;
+    with_empty.push_back({});  // The empty key sorts first and prefixes all.
+    ExpectOrderAndPrefixAgree(with_empty);
+  }
+}
+
+TEST(KeyEncodingTest, CompositeKeysKeepLexicographicOrderAndPrefixes) {
+  // Keys over the column types (int64, string, double, money), of every
+  // length 0..4: prefixes of one another, and ties in leading columns.
+  std::vector<CompositeKey> keys = {{}};
+  for (int64_t n : {std::numeric_limits<int64_t>::min(), int64_t{-1},
+                    int64_t{0}, int64_t{255}, int64_t{256}}) {
+    keys.push_back(Key(n));
+    for (const std::string& str :
+         {std::string(), std::string(1, '\0'), std::string("a"),
+          std::string("a\0", 2), std::string("\xff")}) {
+      keys.push_back(Key(n, str));
+      for (double d : {-0.0, -1.5, 2.25}) {
+        keys.push_back(Key(n, str, d));
+        for (int64_t cents : {int64_t{-100}, int64_t{0}, int64_t{65536}}) {
+          keys.push_back(Key(n, str, d, Money::FromCents(cents)));
+        }
+      }
+    }
+  }
+  ExpectOrderAndPrefixAgree(keys);
+}
+
+TEST(KeyEncodingTest, EdgeEncodings) {
+  // Signed zeros are one key.
+  EXPECT_EQ(EncodeKey(Key(0.0)), EncodeKey(Key(-0.0)));
+  // Integer widths: a tag byte plus the fewest big-endian bytes.
+  EXPECT_EQ(EncodeKey(Key(0)).size(), 1u);
+  EXPECT_EQ(EncodeKey(Key(-1)).size(), 1u);
+  EXPECT_EQ(EncodeKey(Key(255)).size(), 2u);
+  EXPECT_EQ(EncodeKey(Key(256)).size(), 3u);
+  EXPECT_EQ(EncodeKey(Key(-256)).size(), 2u);
+  EXPECT_EQ(EncodeKey(Key(-257)).size(), 3u);
+  EXPECT_EQ(EncodeKey(Key(std::numeric_limits<int64_t>::min())).size(), 9u);
+  EXPECT_EQ(EncodeKey(Key(std::numeric_limits<int64_t>::max())).size(), 9u);
+  // A TPC-C order-line key (w, d, o, line) is a handful of bytes.
+  EXPECT_LE(EncodeKey(Key(100, 10, 3000000, 15)).size(), 12u);
+  // Strings: 0x00 escaped, then a terminator.
+  EXPECT_EQ(EncodeKey(Key(std::string("a\0b", 3))),
+            std::string("a\0\xff" "b\0\x01", 6));
+  EXPECT_EQ(EncodeKey(Key(std::string())), std::string("\0\x01", 2));
+  EXPECT_EQ(EncodeKeyColumns({Value(7), Value("x"), Value(9)}, {2, 0}),
+            EncodeKey(Key(9, 7)));
+}
+
+TEST(KeyEncodingTest, TablesFoldSignedZerosAndRejectNaN) {
+  Schema schema;
+  schema.columns = {{"k", ColumnType::kDouble}, {"v", ColumnType::kDouble}};
+  schema.key_columns = {0};
+  Table t(0, "t", schema);
+  IndexId by_v = t.AddIndex("by_v", {1});
+  auto id = t.Insert({Value(0.0), Value(-0.0)});
+  ASSERT_TRUE(id.ok());
+  EXPECT_EQ(t.Insert({Value(-0.0), Value(1.0)}).status().code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(t.LookupPk(Key(-0.0)), *id);
+  EXPECT_EQ(t.LookupIndex(by_v, Key(0.0)), std::vector<RowId>{*id});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(t.Insert({Value(nan), Value(1.0)}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.Insert({Value(1.0), Value(nan)}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.UpdateColumns(*id, {{1, Value(nan)}}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.LookupIndex(by_v, Key(0.0)), std::vector<RowId>{*id});
+  EXPECT_EQ(t.size(), 1u);
 }
 
 // --- Schema ---
@@ -356,6 +532,147 @@ TEST(ShardedTableTest, ConcurrentInsertsAcrossShards) {
     EXPECT_EQ(t.ScanPkPrefix(Key(w)).size(),
               static_cast<size_t>(kRowsPerShard));
   }
+}
+
+// --- Indexes vs. a brute-force reference ---
+
+// Random inserts, deletes, restores (InsertWithId) and index-column updates
+// on a table keyed (a int64, b string, c int64), with a routable index
+// (a, v double) and a non-routable one (b) full of ties; then every lookup
+// and scan is checked against a scan of a model of the live rows.
+void CheckIndexesAgainstReference(size_t shards) {
+  Schema schema;
+  schema.columns = {{"a", ColumnType::kInt64},
+                    {"b", ColumnType::kString},
+                    {"c", ColumnType::kInt64},
+                    {"v", ColumnType::kDouble}};
+  schema.key_columns = {0, 1, 2};
+  Table t(0, "t", schema, shards);
+  const IndexId by_av = t.AddIndex("by_av", {0, 3});
+  const IndexId by_b = t.AddIndex("by_b", {1});
+
+  std::mt19937_64 rng(20240917 + shards);
+  auto pick = [&rng](const auto& values) {
+    return values[rng() % values.size()];
+  };
+  const std::vector<int64_t> as = {-5, -1, 0, 1, 2, 3, 7};
+  const std::vector<std::string> bs = {
+      std::string(), std::string(1, '\0'), "a", std::string("a\0", 2),
+      "ab", "\xff"};
+  const std::vector<int64_t> cs = {std::numeric_limits<int64_t>::min(), -256,
+                                   -1, 0, 255, 256, 65536,
+                                   std::numeric_limits<int64_t>::max()};
+  const std::vector<double> vs = {-1.5, -0.0, 0.0, 2.25};
+
+  std::map<RowId, Row> live;      // The model: live rows by id.
+  std::map<RowId, Row> deleted;    // Restorable under their old ids.
+  for (int op = 0; op < 1500; ++op) {
+    const uint64_t kind = rng() % 10;
+    if (kind < 5 || live.empty()) {
+      Row row = {Value(pick(as)), Value(pick(bs)), Value(pick(cs)),
+                 Value(pick(vs))};
+      Result<RowId> id = t.Insert(row);
+      bool duplicate = false;
+      for (const auto& [other_id, other] : live) {
+        if (RefCompare(schema.KeyOf(other), schema.KeyOf(row)) == 0) {
+          duplicate = true;
+        }
+      }
+      ASSERT_EQ(id.ok(), !duplicate);
+      if (id.ok()) live.emplace(*id, std::move(row));
+    } else if (kind < 7) {
+      auto it = std::next(live.begin(), rng() % live.size());
+      ASSERT_TRUE(t.Delete(it->first).ok());
+      deleted.insert(*it);
+      live.erase(it);
+    } else if (kind < 8 && !deleted.empty()) {
+      auto it = std::next(deleted.begin(), rng() % deleted.size());
+      const Status restored = t.InsertWithId(it->first, it->second);
+      if (restored.ok()) {
+        live.insert(*it);
+        deleted.erase(it);
+      } else {
+        ASSERT_EQ(restored.code(), StatusCode::kAlreadyExists);
+      }
+    } else {
+      auto it = std::next(live.begin(), rng() % live.size());
+      const Value v(pick(vs));
+      ASSERT_TRUE(t.UpdateColumns(it->first, {{3, v}}).ok());
+      it->second[3] = v;
+    }
+  }
+  ASSERT_EQ(t.size(), live.size());
+
+  auto index_key = [](const Row& row, const std::vector<int>& columns) {
+    CompositeKey key;
+    for (int c : columns) key.push_back(row[c]);
+    return key;
+  };
+  // Reference scan: ids of live rows whose `columns` key extends `prefix`,
+  // by key then RowId.
+  auto reference = [&](const std::vector<int>& columns,
+                       const CompositeKey& prefix, bool exact) {
+    std::vector<std::pair<CompositeKey, RowId>> hits;
+    for (const auto& [id, row] : live) {
+      CompositeKey key = index_key(row, columns);
+      if (!RefIsPrefix(prefix, key)) continue;
+      if (exact && key.size() != prefix.size()) continue;
+      hits.emplace_back(std::move(key), id);
+    }
+    std::sort(hits.begin(), hits.end(), [](const auto& x, const auto& y) {
+      if (int c = RefCompare(x.first, y.first); c != 0) return c < 0;
+      return x.second < y.second;
+    });
+    std::vector<RowId> ids;
+    for (const auto& hit : hits) ids.push_back(hit.second);
+    return ids;
+  };
+
+  // Probe keys: every prefix of every live or deleted row's keys, plus
+  // keys no row has.
+  std::vector<Row> probes;
+  for (const auto& [id, row] : live) probes.push_back(row);
+  for (const auto& [id, row] : deleted) probes.push_back(row);
+  probes.push_back({Value(int64_t{4}), Value("zz"), Value(int64_t{9}),
+                    Value(9.5)});
+  const std::vector<int>& pk = schema.key_columns;
+  const std::vector<int> av = {0, 3};
+  const std::vector<int> b = {1};
+  for (const Row& probe : probes) {
+    const CompositeKey key = index_key(probe, pk);
+    const std::vector<RowId> exact = reference(pk, key, true);
+    EXPECT_EQ(t.LookupPk(key), exact.empty()
+                                   ? std::nullopt
+                                   : std::optional<RowId>(exact.front()));
+    for (size_t len = 0; len <= key.size(); ++len) {
+      const CompositeKey prefix(key.begin(), key.begin() + len);
+      const std::vector<RowId> scan = reference(pk, prefix, false);
+      EXPECT_EQ(t.ScanPkPrefix(prefix), scan) << CompositeKeyToString(prefix);
+      EXPECT_EQ(t.MinPkPrefix(prefix),
+                scan.empty() ? std::nullopt
+                             : std::optional<RowId>(scan.front()));
+    }
+    for (const auto& [index, columns] :
+         {std::pair{by_av, av}, std::pair{by_b, b}}) {
+      const CompositeKey ikey = index_key(probe, columns);
+      EXPECT_EQ(t.LookupIndex(index, ikey), reference(columns, ikey, true))
+          << CompositeKeyToString(ikey);
+      for (size_t len = 0; len <= ikey.size(); ++len) {
+        const CompositeKey prefix(ikey.begin(), ikey.begin() + len);
+        EXPECT_EQ(t.ScanIndexPrefix(index, prefix),
+                  reference(columns, prefix, false))
+            << CompositeKeyToString(prefix);
+      }
+    }
+  }
+}
+
+TEST(IndexReferenceTest, OneShardMatchesBruteForce) {
+  CheckIndexesAgainstReference(1);
+}
+
+TEST(IndexReferenceTest, FourShardsMatchBruteForce) {
+  CheckIndexesAgainstReference(4);
 }
 
 // --- Database ---

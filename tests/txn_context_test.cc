@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 
 #include "acc/catalog.h"
@@ -174,53 +175,92 @@ TEST_F(TxnContextTest, VoluntaryAbortUndoesStepPhysically) {
   EXPECT_TRUE(rows_->LookupPk(Key(int64_t{6})).has_value());
 }
 
-TEST_F(TxnContextTest, ReadByKeyRetriesWhenRowReplacedDuringWait) {
-  // T1 deletes row 3 and re-inserts it (new RowId) while T2 waits for the
-  // row lock; T2's lookup-lock-verify loop must land on the new row, not
-  // the dead id.
+// Runs `writer` as one step that first X-locks row 3 (so the reader's
+// lookup still finds it and the reader blocks on the row lock), computes
+// while the reader waits, then does `then` to the row under its id. The
+// reader starts mid-wait and reads key 3, reporting the value and the
+// RowId ReadByKey bound. Returns the writer's and the reader's results.
+struct RebindRun {
+  ExecResult writer, reader;
+  storage::RowId old_id = storage::kInvalidRowId;
+  storage::RowId bound_id = storage::kInvalidRowId;
+  int64_t seen = -1;
+};
+
+RebindRun RunReaderAgainstWriter(
+    Engine& engine, storage::Table& rows, lock::ActorId step,
+    const std::function<Status(TxnContext&, storage::RowId)>& then) {
   sim::Simulation sim;
   SimExecutionEnv env1(sim, nullptr), env2(sim, nullptr);
-  int64_t seen = -1;
-  FunctionProgram t1("t1", [&](TxnContext& ctx) {
-    return ctx.RunStep(step_, {}, AssertionInstance{},
+  RebindRun run;
+  run.old_id = *rows.LookupPk(Key(int64_t{3}));
+  FunctionProgram writer("writer", [&](TxnContext& ctx) {
+    return ctx.RunStep(step, {}, AssertionInstance{},
                        [&](TxnContext& c) -> Status {
-                         storage::RowId old_id =
-                             *rows_->LookupPk(Key(int64_t{3}));
-                         // X-lock the row first so T2's lookup still finds
-                         // it and T2 blocks on the row lock...
                          ACCDB_RETURN_IF_ERROR(
-                             c.ReadById(*rows_, old_id, true).status());
-                         c.Compute(0.1);  // ...here, while T2 waits...
-                         // ...then replace the row under a fresh RowId.
-                         ACCDB_RETURN_IF_ERROR(c.Delete(*rows_, old_id));
-                         return c
-                             .Insert(*rows_, {Value(int64_t{3}),
-                                              Value(int64_t{0}),
-                                              Value(int64_t{999})})
-                             .status();
+                             c.ReadById(rows, run.old_id, true).status());
+                         c.Compute(0.1);  // The reader waits here.
+                         return then(c, run.old_id);
                        });
   });
-  FunctionProgram t2("t2", [&](TxnContext& ctx) {
-    return ctx.RunStep(step_, {}, AssertionInstance{},
+  FunctionProgram reader("reader", [&](TxnContext& ctx) {
+    return ctx.RunStep(step, {}, AssertionInstance{},
                        [&](TxnContext& c) -> Status {
                          ACCDB_ASSIGN_OR_RETURN(
-                             Row row, c.ReadByKey(*rows_, Key(int64_t{3})));
-                         seen = row[2].AsInt64();
+                             Row row,
+                             c.ReadByKey(rows, Key(int64_t{3}),
+                                         /*for_update=*/false, &run.bound_id));
+                         run.seen = row[2].AsInt64();
                          return Status::Ok();
                        });
   });
-  ExecResult r1, r2;
-  sim.Spawn("t1", [&] {
-    r1 = engine_->Execute(t1, env1, ExecMode::kAccDecomposed);
+  sim.Spawn("writer", [&] {
+    run.writer = engine.Execute(writer, env1, ExecMode::kAccDecomposed);
   });
-  sim.Spawn("t2", [&] {
+  sim.Spawn("reader", [&] {
     sim.Delay(0.05);
-    r2 = engine_->Execute(t2, env2, ExecMode::kAccDecomposed);
+    run.reader = engine.Execute(reader, env2, ExecMode::kAccDecomposed);
   });
   sim.Run();
-  ASSERT_TRUE(r1.status.ok());
-  ASSERT_TRUE(r2.status.ok());
-  EXPECT_EQ(seen, 999);  // The re-inserted row, not a stale read.
+  return run;
+}
+
+TEST_F(TxnContextTest, ReadByKeyRetriesWhenRowReplacedDuringWait) {
+  // The writer deletes row 3 and re-inserts its key under a new RowId while
+  // the reader waits for the row lock: the dead id fails the liveness
+  // re-check, and the reader rebinds to the new row and its new id.
+  storage::RowId new_id = storage::kInvalidRowId;
+  RebindRun run = RunReaderAgainstWriter(
+      *engine_, *rows_, step_,
+      [&](TxnContext& c, storage::RowId old_id) -> Status {
+        ACCDB_RETURN_IF_ERROR(c.Delete(*rows_, old_id));
+        ACCDB_ASSIGN_OR_RETURN(
+            new_id, c.Insert(*rows_, {Value(int64_t{3}), Value(int64_t{0}),
+                                      Value(int64_t{999})}));
+        return Status::Ok();
+      });
+  ASSERT_TRUE(run.writer.status.ok());
+  ASSERT_TRUE(run.reader.status.ok());
+  EXPECT_EQ(run.seen, 999);  // The re-inserted row, not a stale read.
+  EXPECT_NE(new_id, run.old_id);
+  EXPECT_EQ(run.bound_id, new_id);
+}
+
+TEST_F(TxnContextTest, ReadByKeyAcceptsRowRestoredUnderItsOwnId) {
+  // The writer deletes row 3 and aborts while the reader waits: the step
+  // rollback restores the row through InsertWithId under its original id,
+  // which still binds key 3, so the reader accepts that id.
+  RebindRun run = RunReaderAgainstWriter(
+      *engine_, *rows_, step_,
+      [&](TxnContext& c, storage::RowId old_id) -> Status {
+        ACCDB_RETURN_IF_ERROR(c.Delete(*rows_, old_id));
+        return Status::Aborted("roll the delete back");
+      });
+  EXPECT_EQ(run.writer.status.code(), StatusCode::kAborted);
+  ASSERT_TRUE(run.reader.status.ok()) << run.reader.status.ToString();
+  EXPECT_EQ(run.seen, 300);
+  EXPECT_EQ(run.bound_id, run.old_id);
+  EXPECT_EQ(rows_->LookupPk(Key(int64_t{3})), run.old_id);
 }
 
 TEST_F(TxnContextTest, StepRetryAfterDeadlockSucceeds) {
