@@ -24,9 +24,6 @@
 //   --seed=N               workload seed (default 20250806)
 //   --cost-scale=F         scales modeled statement costs (default 1)
 //   --think-scale=F        scales keying/think times (default 0: saturated)
-//   --lock-partitions=N    lock-table partitions (0 = the default, 1024;
-//                          falls back to the ACCDB_LOCK_PARTITIONS
-//                          environment variable)
 //   --audit                re-evaluate interstep assertion predicates at
 //                          their contract points (EngineConfig::
 //                          audit_assertions); exits nonzero if any predicate
@@ -57,7 +54,6 @@ struct RtOptions {
   uint64_t seed = 20250806;
   double cost_scale = 1.0;
   double think_scale = 0.0;
-  size_t lock_partitions = 0;  // 0 = the default (1024).
   bool affinity = true;
   uint32_t txn_id_block = accdb::acc::TxnIdAllocator::kDefaultBlock;
   std::string wal_path;
@@ -72,7 +68,7 @@ struct RtOptions {
                "          [--modes=acc,2pl,occ,mvcc] [--mode=X]\n"
                "          [--seconds=S] [--warmup=S] [--seed=N]\n"
                "          [--cost-scale=F] [--think-scale=F]\n"
-               "          [--lock-partitions=N] [--affinity=0|1]\n"
+               "          [--affinity=0|1]\n"
                "          [--txn-id-block=N] [--audit] [--wal-path=FILE]\n"
                "          [--group-commit-us=N] [--json=PATH | --no-json]\n",
                argv0);
@@ -118,10 +114,7 @@ std::vector<int> ParseIntList(const std::string& value) {
 
 RtOptions ParseOptions(int argc, char** argv) {
   RtOptions options;
-  // Flags override the environment variables.
-  if (const char* env = std::getenv("ACCDB_LOCK_PARTITIONS")) {
-    options.lock_partitions = std::strtoull(env, nullptr, 10);
-  }
+  // Flags override the environment variable.
   if (const char* env = std::getenv("ACCDB_WAREHOUSES")) {
     std::vector<int> parsed = ParseIntList(env);
     if (!parsed.empty()) options.warehouses = parsed;
@@ -148,8 +141,6 @@ RtOptions ParseOptions(int argc, char** argv) {
       options.cost_scale = std::atof(value.c_str());
     } else if (ParseValue(argv[i], "--think-scale", &value)) {
       options.think_scale = std::atof(value.c_str());
-    } else if (ParseValue(argv[i], "--lock-partitions", &value)) {
-      options.lock_partitions = std::strtoull(value.c_str(), nullptr, 10);
     } else if (ParseValue(argv[i], "--affinity", &value)) {
       options.affinity = std::atoi(value.c_str()) != 0;
     } else if (ParseValue(argv[i], "--txn-id-block", &value)) {
@@ -205,16 +196,14 @@ int main(int argc, char** argv) {
   base.warmup_seconds = options.warmup;
   base.cost_scale = options.cost_scale;
   base.think_scale = options.think_scale;
-  base.workload.engine.lock_partitions = options.lock_partitions;
   base.workload.engine.wal.path = options.wal_path;
   base.workload.engine.wal.group_commit_us = options.group_commit_us;
   base.workload.engine.audit_assertions = options.audit;
   base.warehouse_affinity = options.affinity;
   base.txn_id_block = options.txn_id_block;
   const size_t resolved_partitions =
-      lock::LockManager::ResolvePartitionCount(options.lock_partitions);
-  std::printf("lock partitions: %zu%s\n", resolved_partitions,
-              options.lock_partitions == 0 ? " (default)" : "");
+      lock::LockManager::ResolvePartitionCount(0);
+  std::printf("lock partitions: %zu\n", resolved_partitions);
 
   report.root()["environment"] = Json("real-thread");
   report.root()["measured_seconds"] = Json(options.seconds);

@@ -43,7 +43,7 @@ using accdb::Status;
 using accdb::acc::LogRecordType;
 using accdb::acc::Wal;
 using accdb::acc::WalRecord;
-using accdb::acc::WalRedoOp;
+using accdb::storage::RowWrite;
 
 struct Options {
   std::vector<int> threads = {1, 2, 4, 8};
@@ -117,15 +117,15 @@ WalRecord CommitShapedRecord(uint64_t txn) {
   rec.txn = txn;
   rec.step_index = 1;
   rec.work_area.assign(96, 'w');
-  WalRedoOp update;
-  update.kind = WalRedoOp::Kind::kUpdate;
+  RowWrite update;
+  update.kind = RowWrite::Kind::kUpdate;
   update.table = 3;
   update.row = txn % 4096 + 1;
   update.columns.emplace_back(2, accdb::storage::Value(int64_t{42}));
   update.columns.emplace_back(5, accdb::storage::Value(std::string("OE")));
   rec.redo.push_back(std::move(update));
-  WalRedoOp insert;
-  insert.kind = WalRedoOp::Kind::kInsert;
+  RowWrite insert;
+  insert.kind = RowWrite::Kind::kInsert;
   insert.table = 7;
   insert.row = txn + 1;
   insert.row_data = {accdb::storage::Value(int64_t{1}),

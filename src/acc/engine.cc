@@ -62,8 +62,7 @@ Engine::Engine(storage::Database* db, const lock::ConflictResolver* resolver,
                EngineConfig config)
     : db_(db),
       config_(std::move(config)),
-      lock_manager_(resolver,
-                    lock::LockManagerOptions{config_.lock_partitions, {}}),
+      lock_manager_(resolver),
       txn_ids_(config_.txn_id_block) {
   lock_manager_.set_listener(this);
   if (!config_.wal.path.empty()) {
@@ -137,29 +136,26 @@ ExecResult Engine::Execute(TransactionProgram& program, ExecutionEnv& env,
   if (!analyzed && mode == ExecMode::kAccDecomposed) {
     mode = ExecMode::kSerializable;
   }
+  const bool acc = mode == ExecMode::kAccDecomposed;
 
   ExecResult result;
   // Measured across every restart: the latency a client of this execution
   // would observe. Recorded only on normal completion (not teardown unwind).
   const double exec_start = env.Now();
-  auto record_txn_latency = [&] {
+  auto finish = [&](Status status) {
+    result.status = std::move(status);
     RecordTxnLatency(env, env.Now() - exec_start);
+    return result;
   };
   for (int attempt = 0;; ++attempt) {
     lock::TxnId txn = NextTxnId();
     TxnContext ctx(this, &program, &env, txn, mode, analyzed);
 
     Status status;
-    if (mode == ExecMode::kAccDecomposed) {
-      if (wal_ != nullptr) {
-        // Not forced: a begin with no durable end-of-step is invisible to
-        // recovery, so it may ride along with the first step's force.
-        WalRecord rec;
-        rec.type = LogRecordType::kBegin;
-        rec.txn = txn;
-        rec.program = std::string(program.name());
-        wal_->Append(std::move(rec));
-      }
+    if (acc) {
+      // Not forced: a begin with no durable end-of-step is invisible to
+      // recovery, so it may ride along with the first step's force.
+      AppendLog(LogRecordType::kBegin, txn, {}, program.name());
       status = ctx.AcquireInitialAssertion(program.InitialAssertion());
     }
     if (status.ok()) {
@@ -172,7 +168,7 @@ ExecResult Engine::Execute(TransactionProgram& program, ExecutionEnv& env,
         // (and MVCC drops its pending versions). Under the ACC, RunStep
         // already rolled back the in-flight step and the committed steps
         // await compensation by recovery.
-        if (mode != ExecMode::kAccDecomposed) ctx.PhysicalRollbackAll();
+        if (!acc) ctx.PhysicalRollbackAll();
         throw;
       }
     }
@@ -180,139 +176,100 @@ ExecResult Engine::Execute(TransactionProgram& program, ExecutionEnv& env,
     result.steps_completed = ctx.completed_steps();
     result.step_deadlock_retries += ctx.step_deadlock_retries();
 
-    if (status.ok() && mode == ExecMode::kOptimistic) {
-      // Backward validation + write-buffer apply under the commit mutex,
-      // with the WAL commit record (if any) appended inside the same
-      // critical section — so a dependent transaction that reads these
-      // writes necessarily logs at a higher LSN. A failure comes back as
-      // kDeadlock, so the restart branch below re-runs the program exactly
-      // like a lost deadlock would.
-      status = ctx.OccCommit();
-    }
-
     if (status.ok()) {
-      uint64_t commit_lsn = 0;
-      if (mode == ExecMode::kAccDecomposed) {
-        if (wal_ != nullptr) {
-          WalRecord rec;
-          rec.type = LogRecordType::kCommit;
-          rec.txn = txn;
-          commit_lsn = wal_->Append(std::move(rec));
-        }
-      } else if (mode == ExecMode::kOptimistic) {
-        // The commit record was already appended inside OccCommit's
-        // critical section; only the durability wait remains.
-        commit_lsn = ctx.occ_commit_lsn();
-      } else if (wal_ != nullptr) {
-        // Monolithic locking backends (2PL/MVCC): nothing was logged
-        // before this point, so the single commit record carries the whole
-        // transaction's redo. Appended before FinishCommit releases the
-        // locks, so dependents log behind us.
-        WalRecord rec;
-        rec.type = LogRecordType::kCommit;
-        rec.txn = txn;
-        rec.redo = ctx.TakeRedo();
-        commit_lsn = wal_->Append(std::move(rec));
+      // An OCC validation failure comes back as kDeadlock and restarts
+      // below exactly like a lost deadlock.
+      Result<uint64_t> commit_lsn = ctx.Commit();
+      if (commit_lsn.ok()) {
+        // Any transaction that read our writes logged behind us, and
+        // durability is prefix-ordered, so a dependent cannot become
+        // durable first. A commit applied in memory whose record never
+        // reached disk (the WAL is fail-stop) will not survive a restart,
+        // so it must not be acknowledged as a commit.
+        return finish(*commit_lsn != 0 ? wal_->WaitDurable(*commit_lsn)
+                                       : Status::Ok());
       }
-      ctx.FinishCommit();
-      // Any transaction that read our writes logs behind us — 2PL/MVCC
-      // append before the locks release above, OCC appends under the
-      // commit mutex — and durability is prefix-ordered, so a dependent
-      // cannot become durable first.
-      if (commit_lsn != 0) {
-        Status durable = wal_->WaitDurable(commit_lsn);
-        if (!durable.ok()) {
-          // Applied in memory but the commit record never reached disk (the
-          // WAL is fail-stop): the outcome will not survive a restart, so
-          // it must not be acknowledged as a commit.
-          result.status = durable;
-          record_txn_latency();
-          return result;
-        }
-      }
-      result.status = Status::Ok();
-      record_txn_latency();
-      return result;
+      status = commit_lsn.status();
     }
 
-    if (mode == ExecMode::kAccDecomposed) {
-      // The failing step was already physically rolled back inside RunStep.
-      if (ctx.completed_steps() > 0) {
-        assert(program.has_compensation() &&
-               "multi-step programs must provide compensation");
-        const int forward_steps = ctx.completed_steps();
-        Status comp = ctx.RunCompensation(
-            program.CompensationStepType(), program.CompensationKeys(),
-            [&program, forward_steps](TxnContext& c) {
-              return program.Compensate(c, forward_steps);
-            },
-            std::string(program.name()));
-        ctx.ReleaseLocks();
-        if (!comp.ok()) {
-          // A compensation that cannot complete is a programming error in
-          // the workload (its semantic undo must always be executable);
-          // surface it instead of silently leaving the database broken.
-          result.status = Status::Internal("compensation failed: " +
-                                           comp.ToString());
-          record_txn_latency();
-          return result;
-        }
-        result.compensated = true;
-        if (wal_ != nullptr) {
-          // The compensating step's redo rides inside its kCompensated
-          // record: either both are durable (replay applies the undo and
-          // recovery skips the txn) or neither is (recovery re-runs the
-          // compensation from scratch) — never half.
-          WalRecord rec;
-          rec.type = LogRecordType::kCompensated;
-          rec.txn = txn;
-          rec.redo = ctx.TakeRedo();
-          Status durable = wal_->WaitDurable(wal_->Append(std::move(rec)));
-          if (!durable.ok()) {
-            // The compensation ran in memory but its record is not durable;
-            // report the log failure, not a clean abort.
-            result.status = durable;
-            record_txn_latency();
-            return result;
-          }
-        }
-        result.status = FinalAbortStatus(status);
-        record_txn_latency();
-        return result;
+    if (acc && ctx.completed_steps() > 0) {
+      // The failing step was already physically rolled back inside RunStep;
+      // the completed ones are undone semantically.
+      assert(program.has_compensation() &&
+             "multi-step programs must provide compensation");
+      const int forward_steps = ctx.completed_steps();
+      Status comp = CompensateAndLog(
+          ctx, program.CompensationStepType(), program.CompensationKeys(),
+          [&program, forward_steps](TxnContext& c) {
+            return program.Compensate(c, forward_steps);
+          },
+          txn);
+      // The compensating step completed, whether or not its record then
+      // became durable.
+      result.compensated = ctx.completed_steps() > forward_steps;
+      if (!comp.ok()) {
+        // A compensation that cannot complete is a programming error in the
+        // workload (its semantic undo must always be executable); surface
+        // it instead of silently leaving the database broken. One that ran
+        // but whose record is not durable reports the log failure, not a
+        // clean abort.
+        return finish(result.compensated
+                          ? comp
+                          : Status::Internal("compensation failed: " +
+                                             comp.ToString()));
       }
-      // No step completed: the transaction simply evaporates.
-      if (wal_ != nullptr) {
-        // Unforced bookkeeping: no durable end-of-step exists, so recovery
-        // ignores this txn either way.
-        WalRecord rec;
-        rec.type = LogRecordType::kCompensated;
-        rec.txn = txn;
-        wal_->Append(std::move(rec));
-      }
-      ctx.ReleaseLocks();
-      if (status.code() == StatusCode::kDeadlock &&
-          attempt < config_.txn_restart_limit) {
-        ++result.txn_restarts;
-        continue;
-      }
-      result.status = FinalAbortStatus(status);
-      record_txn_latency();
-      return result;
+      return finish(FinalAbortStatus(status));
     }
 
-    // Monolithic backends: full physical rollback (a no-op for OCC, whose
-    // writes never left its buffer); restart on deadlock — which is also
-    // how an OCC validation failure arrives here.
+    // Nothing to compensate: the transaction evaporates physically (a
+    // no-op for OCC, whose writes never left its buffer, and for an ACC
+    // transaction, whose failed step RunStep already rolled back).
+    if (acc) {
+      // Unforced bookkeeping: no durable end-of-step exists, so recovery
+      // ignores this txn either way.
+      AppendLog(LogRecordType::kCompensated, txn);
+    }
     ctx.PhysicalRollbackAll();
     if (status.code() == StatusCode::kDeadlock &&
         attempt < config_.txn_restart_limit) {
       ++result.txn_restarts;
       continue;
     }
-    result.status = FinalAbortStatus(status);
-    record_txn_latency();
-    return result;
+    return finish(FinalAbortStatus(status));
   }
+}
+
+uint64_t Engine::AppendLog(LogRecordType type, lock::TxnId txn,
+                           std::vector<storage::RowWrite> redo,
+                           std::string_view program) {
+  if (wal_ == nullptr) return 0;
+  WalRecord rec;
+  rec.type = type;
+  rec.txn = txn;
+  rec.program = std::string(program);
+  rec.redo = std::move(redo);
+  return wal_->Append(std::move(rec));
+}
+
+Status Engine::CompensateAndLog(
+    TxnContext& ctx, lock::ActorId comp_step_type,
+    std::vector<int64_t> comp_keys,
+    const std::function<Status(TxnContext&)>& body, lock::TxnId logged_txn) {
+  Status status =
+      ctx.RunCompensation(comp_step_type, std::move(comp_keys), body);
+  // The compensating step's redo rides inside its kCompensated record:
+  // either both are durable (replay applies the undo and recovery skips the
+  // txn) or neither is (recovery re-runs the compensation from scratch) —
+  // never half. Appended before the release, so anything that reads the
+  // compensated rows logs behind it; forced after, like an end-of-step
+  // record, so lock hold times stay off the fsync path.
+  const uint64_t lsn =
+      status.ok()
+          ? AppendLog(LogRecordType::kCompensated, logged_txn, ctx.TakeRedo())
+          : 0;
+  ctx.ReleaseLocks();
+  if (lsn != 0) status = wal_->WaitDurable(lsn);
+  return status;
 }
 
 Status Engine::ExecuteCompensation(
@@ -336,27 +293,13 @@ Status Engine::ExecuteCompensation(
   lock::TxnId txn = NextTxnId();
   TxnContext ctx(this, &shell, &env, txn, ExecMode::kAccDecomposed,
                  /*analyzed=*/true);
-  Status status = ctx.RunCompensation(comp_step_type, std::move(comp_keys),
-                                      body, program_name);
-  if (status.ok()) {
-    // Log under the crashed transaction's id (when given), so that a crash
-    // during recovery does not lead to a double compensation on the next
-    // restart.
-    const lock::TxnId logged =
-        logged_txn != lock::kInvalidTxn ? logged_txn : txn;
-    if (wal_ != nullptr) {
-      WalRecord rec;
-      rec.type = LogRecordType::kCompensated;
-      rec.txn = logged;
-      rec.redo = ctx.TakeRedo();
-      Status durable = wal_->WaitDurable(wal_->Append(std::move(rec)));
-      // A non-durable compensated record fails the recovery attempt (the
-      // next restart will re-run this compensation from scratch).
-      if (!durable.ok()) status = durable;
-    }
-  }
-  ctx.ReleaseLocks();
-  return status;
+  // Logged under the crashed transaction's id (when given), so that a crash
+  // during recovery does not lead to a double compensation on the next
+  // restart. A record that does not become durable fails the recovery
+  // attempt (the next restart re-runs this compensation from scratch).
+  return CompensateAndLog(
+      ctx, comp_step_type, std::move(comp_keys), body,
+      logged_txn != lock::kInvalidTxn ? logged_txn : txn);
 }
 
 Status TransactionProgram::Compensate(TxnContext&, int) {

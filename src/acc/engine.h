@@ -1,5 +1,6 @@
 // The transaction engine: executes transaction programs against a Database
-// under either the ACC discipline or strict two-phase locking.
+// under the ACC discipline or one of the comparison backends (strict 2PL,
+// OCC, MVCC), all through one commit/abort loop (Execute).
 //
 // One Engine instance models one database system (the paper compares two
 // such systems: unmodified OpenIngres = Engine with a MatrixConflictResolver
@@ -65,10 +66,6 @@ struct EngineConfig {
   int step_retry_limit = 1;
   // Whole-transaction restart limit after deadlocks (both modes).
   int txn_restart_limit = 1000;
-  // Dynamically extend the next interstep assertion's A-locks to every item
-  // the step wrote ("the implemented algorithm acquires assertional locks on
-  // items dynamically at the time conventional locks are acquired").
-  bool auto_protect_writes = true;
   // Charge the CostModel's ACC overheads (off => idealized zero-overhead
   // ACC, for ablations).
   bool charge_acc_overheads = true;
@@ -94,10 +91,6 @@ struct EngineConfig {
   // time. Off by default (the audit reads rows outside the modeled cost);
   // a no-op unless set_assertion_auditor was called.
   bool audit_assertions = false;
-  // Lock-table partitions (0 = the default, 1024).
-  // Single-threaded simulation results are identical for any value; the
-  // real-thread runtime scales with it. See LockManagerOptions::partitions.
-  size_t lock_partitions = 0;
   // Transaction ids are drawn from per-thread blocks of this size, so the
   // global allocation counter is touched once per `txn_id_block`
   // transactions instead of once per transaction. 1 (the default) keeps ids
@@ -397,6 +390,23 @@ class Engine : public lock::LockManager::Listener {
   };
 
   lock::TxnId NextTxnId() { return txn_ids_.Next(); }
+
+  // Appends one record to the WAL and returns its LSN; 0, logging nothing,
+  // when no WAL is attached. The engine's one place that builds a record
+  // (TxnContext builds its end-of-step records itself).
+  uint64_t AppendLog(LogRecordType type, lock::TxnId txn,
+                     std::vector<storage::RowWrite> redo = {},
+                     std::string_view program = {});
+
+  // Runs `body` as `ctx`'s compensating step and logs its redo in a
+  // kCompensated record under `logged_txn`, appended before `ctx` releases
+  // every lock it holds and forced after. Returns the body's failure, or
+  // else whether the record became durable.
+  Status CompensateAndLog(TxnContext& ctx, lock::ActorId comp_step_type,
+                          std::vector<int64_t> comp_keys,
+                          const std::function<Status(TxnContext&)>& body,
+                          lock::TxnId logged_txn);
+
   LatchedMetrics& ShardFor(const ExecutionEnv& env) {
     return metrics_shards_[env.MetricsShard() % kMetricsShards];
   }

@@ -5,6 +5,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <memory>
+
+#include "cc/occ.h"
+#include "cc/version_store.h"
 
 namespace accdb::acc {
 
@@ -25,20 +29,14 @@ TxnContext::TxnContext(Engine* engine, TransactionProgram* program,
       analyzed_(analyzed),
       undo_(&engine->db()) {
   if (mode_ == ExecMode::kOptimistic) {
-    occ_ = std::make_unique<cc::OccBuffer>(&engine_->occ_versions());
+    lock_free_ = std::make_unique<cc::OccBuffer>(&engine_->occ_versions());
   } else if (mode_ == ExecMode::kMultiVersion) {
     if (program_ != nullptr && program_->read_only()) {
-      snapshot_.emplace(&engine_->version_store(),
-                        engine_->version_store().AcquireSnapshot());
+      lock_free_ =
+          std::make_unique<cc::SnapshotReader>(&engine_->version_store());
     } else {
       mvcc_writer_ = true;
     }
-  }
-}
-
-TxnContext::~TxnContext() {
-  if (snapshot_.has_value()) {
-    engine_->version_store().ReleaseSnapshot(snapshot_->snapshot());
   }
 }
 
@@ -68,12 +66,28 @@ void TxnContext::NoteGranted(lock::ItemId item, lock::LockMode mode) {
   }
 }
 
-Status TxnContext::AcquireLock(lock::ItemId item, lock::LockMode mode) {
+Status TxnContext::RequestAndWait(lock::ItemId item, lock::LockMode mode,
+                                  const lock::RequestContext& ctx) {
   ++pending_lock_ops_;
-  lock::LockManager& lm = engine_->lock_manager();
+  env_->PrepareWait(txn_);
+  switch (engine_->lock_manager().Request(txn_, item, mode, ctx, env_)) {
+    case lock::Outcome::kGranted:
+      env_->DiscardWait(txn_);
+      return Status::Ok();
+    case lock::Outcome::kAborted:
+      env_->DiscardWait(txn_);
+      return DeadlockStatus();
+    case lock::Outcome::kWaiting:
+      return AwaitTimed(mode);
+  }
+  return Status::Internal("unreachable");
+}
+
+Status TxnContext::AcquireLock(lock::ItemId item, lock::LockMode mode) {
   if (item.is_table()) {
     const TableIntent* intent = FindTableIntent(item.table);
     if (intent != nullptr && lock::ModeCovers(intent->mode, mode)) {
+      lock::LockManager& lm = engine_->lock_manager();
       // Covered re-request: the lock manager would grant it at once, after
       // a visit to the table's partition. Answer it here, counted the same.
 #ifdef ACCDB_EXPENSIVE_CHECKS
@@ -85,26 +99,14 @@ Status TxnContext::AcquireLock(lock::ItemId item, lock::LockMode mode) {
         std::abort();
       }
 #endif
+      ++pending_lock_ops_;
       lm.RecordCoveredRequest(txn_);
       return Status::Ok();
     }
   }
-  env_->PrepareWait(txn_);
-  lock::Outcome outcome = lm.Request(txn_, item, mode, BuildContext(), env_);
-  Status status;
-  switch (outcome) {
-    case lock::Outcome::kGranted:
-      env_->DiscardWait(txn_);
-      break;
-    case lock::Outcome::kAborted:
-      env_->DiscardWait(txn_);
-      return DeadlockStatus();
-    case lock::Outcome::kWaiting:
-      status = AwaitTimed(mode);
-      break;
-  }
-  if (status.ok()) NoteGranted(item, mode);
-  return status;
+  ACCDB_RETURN_IF_ERROR(RequestAndWait(item, mode, BuildContext()));
+  NoteGranted(item, mode);
+  return Status::Ok();
 }
 
 Status TxnContext::AwaitTimed(lock::LockMode mode) {
@@ -146,10 +148,30 @@ void TxnContext::ChargeStatement(double base_cost) {
   env_->UseServer(cost);
 }
 
+Status TxnContext::LockTableForStatement(const storage::Table& table,
+                                         bool for_update) {
+  return AcquireLock(lock::ItemId::Table(table.id()),
+                     for_update ? lock::LockMode::kIX : lock::LockMode::kIS);
+}
+
 Status TxnContext::LockRowForStatement(const storage::Table& table,
                                        storage::RowId id, bool for_update) {
   return AcquireLock(lock::ItemId::Row(table.id(), id),
                      for_update ? lock::LockMode::kX : lock::LockMode::kS);
+}
+
+Result<std::vector<std::pair<storage::RowId, storage::Row>>>
+TxnContext::LockAndCopyRows(const storage::Table& table,
+                            const std::vector<storage::RowId>& ids,
+                            bool for_update) {
+  std::vector<std::pair<storage::RowId, storage::Row>> out;
+  for (storage::RowId id : ids) {
+    ACCDB_RETURN_IF_ERROR(LockRowForStatement(table, id, for_update));
+    const storage::Row* row = table.Get(id);
+    if (row != nullptr) out.emplace_back(id, *row);
+  }
+  ChargeStatement(engine_->config().costs.read_statement);
+  return out;
 }
 
 Result<storage::Row> TxnContext::ReadByKey(const storage::Table& table,
@@ -158,19 +180,10 @@ Result<storage::Row> TxnContext::ReadByKey(const storage::Table& table,
                                            storage::RowId* bound_id) {
   // Lock-free backends first (for_update is meaningless without locks: OCC
   // conflicts are caught by validation, snapshot readers never write).
-  if (occ_ != nullptr) {
-    Result<storage::Row> row = occ_->ReadByKey(table, key, bound_id);
-    ChargeStatement(engine_->config().costs.read_statement);
-    return row;
+  if (lock_free_ != nullptr) {
+    return ChargeLockFreeRead(lock_free_->ReadByKey(table, key, bound_id));
   }
-  if (snapshot_.has_value()) {
-    Result<storage::Row> row = snapshot_->ReadByKey(table, key, bound_id);
-    ChargeStatement(engine_->config().costs.read_statement);
-    return row;
-  }
-  ACCDB_RETURN_IF_ERROR(AcquireLock(
-      lock::ItemId::Table(table.id()),
-      for_update ? lock::LockMode::kIX : lock::LockMode::kIS));
+  ACCDB_RETURN_IF_ERROR(LockTableForStatement(table, for_update));
   // Lookup-lock-verify loop: the binding key -> row id may change while we
   // wait for the row lock. Primary keys are immutable and RowIds are never
   // reused (InsertWithId restores a row under its own key), so a row that
@@ -194,19 +207,10 @@ Result<storage::Row> TxnContext::ReadByKey(const storage::Table& table,
 
 Result<storage::Row> TxnContext::ReadById(const storage::Table& table,
                                           storage::RowId id, bool for_update) {
-  if (occ_ != nullptr) {
-    Result<storage::Row> row = occ_->ReadById(table, id);
-    ChargeStatement(engine_->config().costs.read_statement);
-    return row;
+  if (lock_free_ != nullptr) {
+    return ChargeLockFreeRead(lock_free_->ReadById(table, id));
   }
-  if (snapshot_.has_value()) {
-    Result<storage::Row> row = snapshot_->ReadById(table, id);
-    ChargeStatement(engine_->config().costs.read_statement);
-    return row;
-  }
-  ACCDB_RETURN_IF_ERROR(AcquireLock(
-      lock::ItemId::Table(table.id()),
-      for_update ? lock::LockMode::kIX : lock::LockMode::kIS));
+  ACCDB_RETURN_IF_ERROR(LockTableForStatement(table, for_update));
   ACCDB_RETURN_IF_ERROR(LockRowForStatement(table, id, for_update));
   const storage::Row* row = table.Get(id);
   ChargeStatement(engine_->config().costs.read_statement);
@@ -220,45 +224,20 @@ Result<std::vector<std::pair<storage::RowId, storage::Row>>>
 TxnContext::ScanPkPrefix(const storage::Table& table,
                          const storage::CompositeKey& prefix,
                          bool for_update) {
-  if (occ_ != nullptr) {
-    auto rows = occ_->ScanPkPrefix(table, prefix);
-    ChargeStatement(engine_->config().costs.read_statement);
-    return rows;
+  if (lock_free_ != nullptr) {
+    return ChargeLockFreeRead(lock_free_->ScanPkPrefix(table, prefix));
   }
-  if (snapshot_.has_value()) {
-    auto rows = snapshot_->ScanPkPrefix(table, prefix);
-    ChargeStatement(engine_->config().costs.read_statement);
-    return rows;
-  }
-  ACCDB_RETURN_IF_ERROR(AcquireLock(
-      lock::ItemId::Table(table.id()),
-      for_update ? lock::LockMode::kIX : lock::LockMode::kIS));
-  std::vector<std::pair<storage::RowId, storage::Row>> out;
-  for (storage::RowId id : table.ScanPkPrefix(prefix)) {
-    ACCDB_RETURN_IF_ERROR(LockRowForStatement(table, id, for_update));
-    const storage::Row* row = table.Get(id);
-    if (row != nullptr) out.emplace_back(id, *row);
-  }
-  ChargeStatement(engine_->config().costs.read_statement);
-  return out;
+  ACCDB_RETURN_IF_ERROR(LockTableForStatement(table, for_update));
+  return LockAndCopyRows(table, table.ScanPkPrefix(prefix), for_update);
 }
 
 Result<std::optional<std::pair<storage::RowId, storage::Row>>>
 TxnContext::MinPkPrefix(const storage::Table& table,
                         const storage::CompositeKey& prefix, bool for_update) {
-  if (occ_ != nullptr) {
-    auto row = occ_->MinPkPrefix(table, prefix);
-    ChargeStatement(engine_->config().costs.read_statement);
-    return row;
+  if (lock_free_ != nullptr) {
+    return ChargeLockFreeRead(lock_free_->MinPkPrefix(table, prefix));
   }
-  if (snapshot_.has_value()) {
-    auto row = snapshot_->MinPkPrefix(table, prefix);
-    ChargeStatement(engine_->config().costs.read_statement);
-    return row;
-  }
-  ACCDB_RETURN_IF_ERROR(AcquireLock(
-      lock::ItemId::Table(table.id()),
-      for_update ? lock::LockMode::kIX : lock::LockMode::kIS));
+  ACCDB_RETURN_IF_ERROR(LockTableForStatement(table, for_update));
   for (;;) {
     std::optional<storage::RowId> id = table.MinPkPrefix(prefix);
     if (!id.has_value()) {
@@ -281,40 +260,21 @@ TxnContext::ScanIndexPrefix(const storage::Table& table,
                             storage::IndexId index,
                             const storage::CompositeKey& prefix,
                             bool for_update) {
-  if (occ_ != nullptr) {
-    auto rows = occ_->ScanIndexPrefix(table, index, prefix);
-    ChargeStatement(engine_->config().costs.read_statement);
-    return rows;
+  if (lock_free_ != nullptr) {
+    return ChargeLockFreeRead(
+        lock_free_->ScanIndexPrefix(table, index, prefix));
   }
-  if (snapshot_.has_value()) {
-    auto rows = snapshot_->ScanIndexPrefix(table, index, prefix);
-    ChargeStatement(engine_->config().costs.read_statement);
-    return rows;
-  }
-  ACCDB_RETURN_IF_ERROR(AcquireLock(
-      lock::ItemId::Table(table.id()),
-      for_update ? lock::LockMode::kIX : lock::LockMode::kIS));
-  std::vector<std::pair<storage::RowId, storage::Row>> out;
-  for (storage::RowId id : table.ScanIndexPrefix(index, prefix)) {
-    ACCDB_RETURN_IF_ERROR(LockRowForStatement(table, id, for_update));
-    const storage::Row* row = table.Get(id);
-    if (row != nullptr) out.emplace_back(id, *row);
-  }
-  ChargeStatement(engine_->config().costs.read_statement);
-  return out;
+  ACCDB_RETURN_IF_ERROR(LockTableForStatement(table, for_update));
+  return LockAndCopyRows(table, table.ScanIndexPrefix(index, prefix),
+                         for_update);
 }
 
 Result<storage::RowId> TxnContext::Insert(storage::Table& table,
                                           storage::Row row) {
-  if (occ_ != nullptr) {
-    // Buffered under a virtual RowId; the real id is assigned when the
-    // insert applies at commit.
-    Result<storage::RowId> id = occ_->Insert(table, std::move(row));
-    ChargeStatement(engine_->config().costs.write_statement);
-    return id;
-  }
-  if (snapshot_.has_value()) {
-    return Status::Internal("snapshot transaction is read-only");
+  if (lock_free_ != nullptr) {
+    // OCC buffers the row under a virtual RowId; the real id is assigned
+    // when the insert applies at commit.
+    return ChargeLockFreeWrite(lock_free_->Insert(table, std::move(row)));
   }
   ACCDB_RETURN_IF_ERROR(
       AcquireLock(lock::ItemId::Table(table.id()), lock::LockMode::kIX));
@@ -335,14 +295,11 @@ Result<storage::RowId> TxnContext::Insert(storage::Table& table,
         assert(outcome == lock::Outcome::kGranted &&
                "fresh-row X lock must grant immediately");
         (void)outcome;
-        if (mvcc_writer_) {
-          // Registered while still under the exclusive shard latch: no
-          // snapshot reader can copy the row before its kCreate entry
-          // (= invisible until our commit timestamp) exists.
-          engine_->version_store().RegisterPending(
-              txn_, lock::ItemId::Row(table.id(), id),
-              cc::VersionStore::Kind::kCreate, storage::Row{});
-        }
+        // Registered while still under the exclusive shard latch: no
+        // snapshot reader can copy the row before its kCreate entry
+        // (= invisible until our commit timestamp) exists.
+        RegisterVersion(cc::VersionStore::Kind::kCreate, table, id,
+                        storage::Row{});
       });
   if (!inserted.ok()) {
     ChargeStatement(engine_->config().costs.write_statement);
@@ -350,15 +307,7 @@ Result<storage::RowId> TxnContext::Insert(storage::Table& table,
   }
   storage::RowId id = *inserted;
   undo_.WillInsert(table.id(), id);
-  step_writes_.push_back(lock::ItemId::Row(table.id(), id));
-  if (engine_->wal() != nullptr) {
-    WalRedoOp op;
-    op.kind = WalRedoOp::Kind::kInsert;
-    op.table = table.id();
-    op.row = id;
-    op.row_data = std::move(row);
-    redo_.push_back(std::move(op));
-  }
+  NoteWrite(storage::RowWrite::Kind::kInsert, table, id, std::move(row));
   ChargeStatement(engine_->config().costs.write_statement);
   return id;
 }
@@ -366,54 +315,31 @@ Result<storage::RowId> TxnContext::Insert(storage::Table& table,
 Status TxnContext::Update(
     storage::Table& table, storage::RowId id,
     const std::vector<std::pair<int, storage::Value>>& updates) {
-  if (occ_ != nullptr) {
-    Status status = occ_->Update(table, id, updates);
-    ChargeStatement(engine_->config().costs.write_statement);
-    return status;
-  }
-  if (snapshot_.has_value()) {
-    return Status::Internal("snapshot transaction is read-only");
+  if (lock_free_ != nullptr) {
+    return ChargeLockFreeWrite(lock_free_->Update(table, id, updates));
   }
   ACCDB_RETURN_IF_ERROR(
-      AcquireLock(lock::ItemId::Table(table.id()), lock::LockMode::kIX));
-  ACCDB_RETURN_IF_ERROR(
-      AcquireLock(lock::ItemId::Row(table.id(), id), lock::LockMode::kX));
-  const storage::Row* before = table.Get(id);
-  if (before == nullptr) {
-    ChargeStatement(engine_->config().costs.write_statement);
-    return Status::NotFound(table.name() + " row");
-  }
-  undo_.WillUpdate(table.id(), id, *before);
-  if (mvcc_writer_) {
-    // Before the in-place write, so a snapshot reader that copies the
-    // mutated row always finds this entry's pre-image.
-    engine_->version_store().RegisterPending(
-        txn_, lock::ItemId::Row(table.id(), id),
-        cc::VersionStore::Kind::kUpdate, *before);
-  }
+      LockAndSaveRow(table, id, cc::VersionStore::Kind::kUpdate));
   ACCDB_RETURN_IF_ERROR(table.UpdateColumns(id, updates));
-  step_writes_.push_back(lock::ItemId::Row(table.id(), id));
-  if (engine_->wal() != nullptr) {
-    WalRedoOp op;
-    op.kind = WalRedoOp::Kind::kUpdate;
-    op.table = table.id();
-    op.row = id;
-    op.columns = updates;
-    redo_.push_back(std::move(op));
-  }
+  NoteWrite(storage::RowWrite::Kind::kUpdate, table, id, {}, &updates);
   ChargeStatement(engine_->config().costs.write_statement);
   return Status::Ok();
 }
 
 Status TxnContext::Delete(storage::Table& table, storage::RowId id) {
-  if (occ_ != nullptr) {
-    Status status = occ_->Delete(table, id);
-    ChargeStatement(engine_->config().costs.write_statement);
-    return status;
+  if (lock_free_ != nullptr) {
+    return ChargeLockFreeWrite(lock_free_->Delete(table, id));
   }
-  if (snapshot_.has_value()) {
-    return Status::Internal("snapshot transaction is read-only");
-  }
+  ACCDB_RETURN_IF_ERROR(
+      LockAndSaveRow(table, id, cc::VersionStore::Kind::kDelete));
+  ACCDB_RETURN_IF_ERROR(table.Delete(id));
+  NoteWrite(storage::RowWrite::Kind::kDelete, table, id);
+  ChargeStatement(engine_->config().costs.write_statement);
+  return Status::Ok();
+}
+
+Status TxnContext::LockAndSaveRow(storage::Table& table, storage::RowId id,
+                                  cc::VersionStore::Kind kind) {
   ACCDB_RETURN_IF_ERROR(
       AcquireLock(lock::ItemId::Table(table.id()), lock::LockMode::kIX));
   ACCDB_RETURN_IF_ERROR(
@@ -423,23 +349,38 @@ Status TxnContext::Delete(storage::Table& table, storage::RowId id) {
     ChargeStatement(engine_->config().costs.write_statement);
     return Status::NotFound(table.name() + " row");
   }
-  undo_.WillDelete(table.id(), id, *before);
-  if (mvcc_writer_) {
-    engine_->version_store().RegisterPending(
-        txn_, lock::ItemId::Row(table.id(), id),
-        cc::VersionStore::Kind::kDelete, *before);
+  if (kind == cc::VersionStore::Kind::kDelete) {
+    undo_.WillDelete(table.id(), id, *before);
+  } else {
+    undo_.WillUpdate(table.id(), id, *before);
   }
-  ACCDB_RETURN_IF_ERROR(table.Delete(id));
-  step_writes_.push_back(lock::ItemId::Row(table.id(), id));
-  if (engine_->wal() != nullptr) {
-    WalRedoOp op;
-    op.kind = WalRedoOp::Kind::kDelete;
-    op.table = table.id();
-    op.row = id;
-    redo_.push_back(std::move(op));
-  }
-  ChargeStatement(engine_->config().costs.write_statement);
+  // Before the in-place write, so a snapshot reader that copies the
+  // mutated row always finds this entry's pre-image.
+  RegisterVersion(kind, table, id, *before);
   return Status::Ok();
+}
+
+void TxnContext::RegisterVersion(cc::VersionStore::Kind kind,
+                                 const storage::Table& table,
+                                 storage::RowId id,
+                                 const storage::Row& before) {
+  if (!mvcc_writer_) return;
+  engine_->version_store().RegisterPending(
+      txn_, lock::ItemId::Row(table.id(), id), kind, before);
+}
+
+void TxnContext::NoteWrite(
+    storage::RowWrite::Kind kind, const storage::Table& table,
+    storage::RowId id, storage::Row inserted,
+    const std::vector<std::pair<int, storage::Value>>* columns) {
+  step_writes_.push_back(lock::ItemId::Row(table.id(), id));
+  if (engine_->wal() == nullptr) return;
+  storage::RowWrite& write = redo_.emplace_back();
+  write.kind = kind;
+  write.table = table.id();
+  write.row = id;
+  write.row_data = std::move(inserted);
+  if (columns != nullptr) write.columns = *columns;
 }
 
 Result<int64_t> TxnContext::ReadVariable(const storage::Table& var,
@@ -469,36 +410,38 @@ Status TxnContext::AcquireAssertion(const AssertionInstance& assertion) {
     return Status::Ok();
   }
   assert(in_step_ && "AcquireAssertion outside a step");
-  lock::LockManager& lm = engine_->lock_manager();
-  lock::RequestContext ctx;
-  ctx.actor = program_->PrefixActor(completed_steps_);
-  ctx.assertion = assertion.decl;
-  ctx.assertion_instance = pending_next_number_;
-  ctx.keys = assertion.keys;
-  ctx.analyzed = analyzed_;
-  ctx.for_compensation = in_compensation_;
-  std::vector<lock::ItemId> items = assertion.items;
-  if (engine_->config().two_level_dispatch) {
-    items.push_back(AssertionDeclItem(assertion.decl));
-  }
-  for (const lock::ItemId& item : items) {
-    ++pending_lock_ops_;
-    env_->PrepareWait(txn_);
-    lock::Outcome outcome =
-        lm.Request(txn_, item, lock::LockMode::kAssert, ctx, env_);
-    if (outcome == lock::Outcome::kGranted) {
-      env_->DiscardWait(txn_);
-      continue;
-    }
-    if (outcome == lock::Outcome::kAborted) {
-      env_->DiscardWait(txn_);
-      return DeadlockStatus();
-    }
-    ACCDB_RETURN_IF_ERROR(AwaitTimed(lock::LockMode::kAssert));
-  }
+  ACCDB_RETURN_IF_ERROR(
+      RequestAssertionLocks(assertion, pending_next_number_));
   // Audit: the locks are granted, so the assertion instance is claimed to
   // hold for this reader from here on.
   if (!in_compensation_) engine_->AuditAssertion(assertion, *env_);
+  return Status::Ok();
+}
+
+lock::RequestContext TxnContext::AssertionContext(
+    const AssertionInstance& assertion, uint32_t number,
+    int prefix_steps) const {
+  lock::RequestContext ctx;
+  ctx.actor = program_->PrefixActor(prefix_steps);
+  ctx.assertion = assertion.decl;
+  ctx.assertion_instance = number;
+  ctx.keys = assertion.keys;
+  ctx.analyzed = analyzed_;
+  return ctx;
+}
+
+Status TxnContext::RequestAssertionLocks(const AssertionInstance& assertion,
+                                         uint32_t number) {
+  lock::RequestContext ctx =
+      AssertionContext(assertion, number, completed_steps_);
+  ctx.for_compensation = in_compensation_;
+  for (const lock::ItemId& item : assertion.items) {
+    ACCDB_RETURN_IF_ERROR(RequestAndWait(item, lock::LockMode::kAssert, ctx));
+  }
+  if (engine_->config().two_level_dispatch) {
+    ACCDB_RETURN_IF_ERROR(RequestAndWait(AssertionDeclItem(assertion.decl),
+                                         lock::LockMode::kAssert, ctx));
+  }
   return Status::Ok();
 }
 
@@ -506,12 +449,8 @@ void TxnContext::GrantAssertionLocks(const AssertionInstance& assertion,
                                      uint32_t number) {
   if (assertion.empty()) return;
   lock::LockManager& lm = engine_->lock_manager();
-  lock::RequestContext ctx;
-  ctx.actor = program_->PrefixActor(completed_steps_ + 1);
-  ctx.assertion = assertion.decl;
-  ctx.assertion_instance = number;
-  ctx.keys = assertion.keys;
-  ctx.analyzed = analyzed_;
+  const lock::RequestContext ctx =
+      AssertionContext(assertion, number, completed_steps_ + 1);
   for (const lock::ItemId& item : assertion.items) {
     lm.GrantUnconditional(txn_, item, lock::LockMode::kAssert, ctx);
   }
@@ -652,19 +591,17 @@ void TxnContext::CompleteStep(const AssertionInstance& next_assertion,
 
   // Items written by this step: kComp markers (compensation reservation and
   // legacy isolation), plus dynamic extension of the next assertion's
-  // protection. The release below installs them.
+  // A-locks to every written item ("the implemented algorithm acquires
+  // assertional locks on items dynamically at the time conventional locks
+  // are acquired"). The release below installs them.
   lock::LockManager::StepMarks& marks = step_marks_;
   marks.comp.clear();
   marks.asserts.clear();
   marks.comp_ctx = lock::RequestContext{};
   marks.comp_ctx.analyzed = analyzed_;
-  marks.assert_ctx = lock::RequestContext{};
-  marks.assert_ctx.actor = program_->PrefixActor(completed_steps_ + 1);
-  marks.assert_ctx.assertion = next_assertion.decl;
-  marks.assert_ctx.assertion_instance = next_number;
-  marks.assert_ctx.keys = next_assertion.keys;
-  marks.assert_ctx.analyzed = analyzed_;
-  const bool protect = config.auto_protect_writes && !next_assertion.empty();
+  marks.assert_ctx =
+      AssertionContext(next_assertion, next_number, completed_steps_ + 1);
+  const bool protect = !next_assertion.empty();
   for (const lock::ItemId& item : step_writes_) {
     marks.comp.push_back(item);
     // The compensating step will also need the table-level intent lock of
@@ -725,32 +662,8 @@ Status TxnContext::AcquireInitialAssertion(const AssertionInstance& assertion) {
   if (engine_->config().charge_acc_overheads) {
     env_->UseServer(engine_->config().costs.acc_init_overhead);
   }
-  lock::LockManager& lm = engine_->lock_manager();
-  lock::RequestContext ctx;
-  ctx.actor = program_->PrefixActor(0);
-  ctx.assertion = assertion.decl;
-  ctx.assertion_instance = 0;
-  ctx.keys = assertion.keys;
-  ctx.analyzed = analyzed_;
-  std::vector<lock::ItemId> items = assertion.items;
-  if (engine_->config().two_level_dispatch) {
-    items.push_back(AssertionDeclItem(assertion.decl));
-  }
-  for (const lock::ItemId& item : items) {
-    ++pending_lock_ops_;
-    env_->PrepareWait(txn_);
-    lock::Outcome outcome =
-        lm.Request(txn_, item, lock::LockMode::kAssert, ctx, env_);
-    if (outcome == lock::Outcome::kGranted) {
-      env_->DiscardWait(txn_);
-      continue;
-    }
-    if (outcome == lock::Outcome::kAborted) {
-      env_->DiscardWait(txn_);
-      return DeadlockStatus();
-    }
-    ACCDB_RETURN_IF_ERROR(AwaitTimed(lock::LockMode::kAssert));
-  }
+  // Instance 0, as the prefix actor of zero completed steps.
+  ACCDB_RETURN_IF_ERROR(RequestAssertionLocks(assertion, 0));
   current_assertion_.instance = assertion;
   current_assertion_.instance_number = 0;
   current_assertion_.held = true;
@@ -763,9 +676,7 @@ Status TxnContext::AcquireInitialAssertion(const AssertionInstance& assertion) {
 
 Status TxnContext::RunCompensation(lock::ActorId comp_step_type,
                                    std::vector<int64_t> comp_keys,
-                                   const StepBody& body,
-                                   const std::string& program_name) {
-  (void)program_name;
+                                   const StepBody& body) {
   in_compensation_ = true;
   // A compensating step must eventually succeed: deadlocks are always
   // resolved in its favour (the lock manager aborts the steps delaying it),
@@ -784,50 +695,30 @@ Status TxnContext::RunCompensation(lock::ActorId comp_step_type,
   }
 }
 
-Status TxnContext::OccCommit() {
-  assert(occ_ != nullptr && "OccCommit outside kOptimistic");
-  if (engine_->wal() == nullptr) return occ_->Commit(nullptr);
-  // The commit record must be appended while OccBuffer::Commit still holds
-  // the OCC commit mutex — the moment it releases, the applied writes can
-  // feed a dependent transaction's validation, and recoverability requires
-  // that dependent to log at a higher LSN. The callback runs inside the
-  // critical section, right after `applied` is complete.
-  std::vector<cc::OccAppliedWrite> applied;
-  auto log_commit = [this, &applied] {
-    for (cc::OccAppliedWrite& op : applied) {
-      WalRedoOp redo;
-      redo.table = op.table;
-      redo.row = op.row;
-      switch (op.kind) {
-        case cc::OccAppliedWrite::Kind::kInsert:
-          redo.kind = WalRedoOp::Kind::kInsert;
-          redo.row_data = std::move(op.row_data);
-          break;
-        case cc::OccAppliedWrite::Kind::kUpdate:
-          redo.kind = WalRedoOp::Kind::kUpdate;
-          redo.columns = std::move(op.columns);
-          break;
-        case cc::OccAppliedWrite::Kind::kDelete:
-          redo.kind = WalRedoOp::Kind::kDelete;
-          break;
-      }
-      redo_.push_back(std::move(redo));
-    }
-    WalRecord rec;
-    rec.type = LogRecordType::kCommit;
-    rec.txn = txn_;
-    rec.redo = TakeRedo();
-    occ_commit_lsn_ = engine_->wal()->Append(std::move(rec));
+Result<uint64_t> TxnContext::Commit() {
+  uint64_t commit_lsn = 0;
+  auto log_commit = [this, &commit_lsn] {
+    commit_lsn = engine_->AppendLog(LogRecordType::kCommit, txn_, TakeRedo());
   };
-  return occ_->Commit(&applied, log_commit);
-}
-
-void TxnContext::FinishCommit() {
+  if (lock_free_ != nullptr) {
+    // OCC logs inside its commit critical section: the moment the mutex
+    // releases, the applied writes can feed a dependent transaction's
+    // validation, and recoverability requires that dependent to log at a
+    // higher LSN. The applied writes become this record's redo.
+    ACCDB_RETURN_IF_ERROR(lock_free_->Commit(
+        engine_->wal() != nullptr ? &redo_ : nullptr, log_commit));
+  } else {
+    // The locking backends log before the release below, so every
+    // dependent logs behind us. ACC's steps drained their redo into their
+    // end-of-step records: its commit record carries none.
+    log_commit();
+  }
   // Stamp before the locks release: a snapshot acquired afterwards must
   // already see this transaction's entries fully timestamped.
   if (mvcc_writer_) engine_->version_store().CommitTxn(txn_);
   undo_.ReleaseAll();
   ReleaseLocks();
+  return commit_lsn;
 }
 
 void TxnContext::PhysicalRollbackAll() {

@@ -10,15 +10,17 @@
 //     the step/transaction undo log, and are tracked in the step write set;
 //   * each statement charges CostModel server time, plus ACC lock-overhead
 //     time proportional to the lock-manager calls it made.
+// OCC and MVCC read-only programs take no locks: each data-access method
+// hands the statement to a cc::LockFreeAccess instead (the OCC buffer or
+// the pinned snapshot) — its one backend branch.
 //
 // Step protocol (kAccDecomposed; see DESIGN.md §4): RunStep grants the next
 // interstep assertion's A-locks before the body runs, executes the body
 // under step-duration 2PL, and on success writes the end-of-step record,
-// attaches kComp (and, optionally, next-assertion A) locks to written items,
-// then releases step locks and the consumed assertion. A body aborted as a
-// deadlock victim is physically rolled back and retried up to
-// step_retry_limit times before the error propagates (which triggers
-// compensation at the Engine level).
+// attaches kComp and next-assertion A locks to written items, then releases
+// step locks and the consumed assertion. A body aborted as a deadlock victim
+// is physically rolled back and retried up to step_retry_limit times before
+// the error propagates (which triggers compensation at the Engine level).
 
 #ifndef ACCDB_ACC_TXN_CONTEXT_H_
 #define ACCDB_ACC_TXN_CONTEXT_H_
@@ -32,11 +34,12 @@
 
 #include "acc/engine.h"
 #include "acc/program.h"
-#include "cc/occ.h"
+#include "cc/lock_free_access.h"
 #include "cc/version_store.h"
 #include "common/status.h"
 #include "lock/types.h"
 #include "storage/database.h"
+#include "storage/row_write.h"
 #include "storage/undo_log.h"
 
 namespace accdb::acc {
@@ -115,12 +118,12 @@ class TxnContext {
   bool in_compensation() const { return in_compensation_; }
   ExecMode mode() const { return mode_; }
 
-  // Drains the redo ops accumulated since the last drain (WAL attached
-  // only; empty otherwise). ACC forward steps drain into their end-of-step
-  // records internally; the engine drains the remainder for serializable
-  // commit records and compensation records.
-  std::vector<WalRedoOp> TakeRedo() {
-    std::vector<WalRedoOp> out = std::move(redo_);
+  // Drains the redo accumulated since the last drain (WAL attached only;
+  // empty otherwise). ACC forward steps drain into their end-of-step
+  // records internally; Commit drains the rest into the commit record and
+  // the engine drains a compensating step's into its compensated record.
+  std::vector<storage::RowWrite> TakeRedo() {
+    std::vector<storage::RowWrite> out = std::move(redo_);
     redo_.clear();
     return out;
   }
@@ -130,27 +133,20 @@ class TxnContext {
 
   TxnContext(Engine* engine, TransactionProgram* program, ExecutionEnv* env,
              lock::TxnId txn, ExecMode mode, bool analyzed);
-  // Releases the MVCC snapshot, if one was pinned.
-  ~TxnContext();
 
   // Engine-side entry points.
   Status AcquireInitialAssertion(const AssertionInstance& assertion);
   Status RunCompensation(lock::ActorId comp_step_type,
-                         std::vector<int64_t> comp_keys, const StepBody& body,
-                         const std::string& program_name);
-  // Commit bookkeeping: discard undo, release every lock. An MVCC writer
-  // first stamps its pending version entries (while still holding locks).
-  void FinishCommit();
-  // kOptimistic commit: validate the read set and apply the write buffer
-  // under the engine's OCC commit mutex; on success (WAL attached only) the
-  // applied writes are translated into redo and the commit record appended
-  // while the mutex is still held (so no dependent can log ahead of us),
-  // with its LSN left in occ_commit_lsn() for the engine's durability
-  // wait. kDeadlock on validation failure — the engine's restart loop
-  // handles it.
-  Status OccCommit();
-  uint64_t occ_commit_lsn() const { return occ_commit_lsn_; }
-  // Full physical rollback (baseline / failed single-step execution).
+                         std::vector<int64_t> comp_keys, const StepBody& body);
+  // Commits under every backend: OCC first validates and applies its
+  // buffer (kDeadlock, nothing applied or logged, on failure); the commit
+  // record, carrying the redo not yet logged, is appended before any other
+  // transaction can build on these writes; then an MVCC writer's versions
+  // are stamped, the undo dropped and every lock released. Returns the LSN
+  // to wait on (0 without a WAL).
+  Result<uint64_t> Commit();
+  // Full physical rollback (the monolithic backends, and an ACC
+  // transaction with no completed step).
   void PhysicalRollbackAll();
   // Release locks without touching the database (after compensation).
   void ReleaseLocks();
@@ -171,7 +167,10 @@ class TxnContext {
 
   // One lock-manager round trip; resolves waiting through the env. Returns
   // OK, kDeadlock when this transaction lost a deadlock, or
-  // kDeadlineExceeded when the env's lock-wait deadline expired first. A
+  // kDeadlineExceeded when the env's lock-wait deadline expired first.
+  Status RequestAndWait(lock::ItemId item, lock::LockMode mode,
+                        const lock::RequestContext& ctx);
+  // A conventional request of the current step (RequestAndWait). A
   // table-item request that a held mode covers is answered from
   // table_intents_ instead, with the same answer and the same counts.
   Status AcquireLock(lock::ItemId item, lock::LockMode mode);
@@ -187,18 +186,69 @@ class TxnContext {
   // timeout the queued request is cancelled and kDeadlineExceeded returned.
   Status AwaitTimed(lock::LockMode mode);
 
-  // Lock a row and charge a statement; shared by the read paths.
+  // The read paths' locks: IS/IX on the table, S/X on a row.
+  Status LockTableForStatement(const storage::Table& table, bool for_update);
   Status LockRowForStatement(const storage::Table& table, storage::RowId id,
                              bool for_update);
+  // Locks and copies each of `ids` that is still live, then charges the
+  // statement (the scans' locking path).
+  Result<std::vector<std::pair<storage::RowId, storage::Row>>>
+  LockAndCopyRows(const storage::Table& table,
+                  const std::vector<storage::RowId>& ids, bool for_update);
+
+  // The update/delete locking path before the in-place write: IX on the
+  // table, X on the row, then its before-image into the undo log and, for
+  // an MVCC writer, into a pending version (RegisterVersion). NotFound,
+  // with the statement charged, when the row is gone.
+  Status LockAndSaveRow(storage::Table& table, storage::RowId id,
+                        cc::VersionStore::Kind kind);
+  // An MVCC writer registers the row's pending version entry; a no-op for
+  // every other backend.
+  void RegisterVersion(cc::VersionStore::Kind kind,
+                       const storage::Table& table, storage::RowId id,
+                       const storage::Row& before);
 
   // Charges statement CPU plus ACC lock overhead accumulated since the last
   // charge.
   void ChargeStatement(double base_cost);
 
+  // Charge a statement served by lock_free_, passing its result through. A
+  // snapshot's refused writes did no work and cost nothing.
+  template <typename T>
+  T ChargeLockFreeRead(T result) {
+    ChargeStatement(engine_->config().costs.read_statement);
+    return result;
+  }
+  template <typename T>
+  T ChargeLockFreeWrite(T result) {
+    if (mode_ == ExecMode::kOptimistic) {
+      ChargeStatement(engine_->config().costs.write_statement);
+    }
+    return result;
+  }
+
+  // Books a row write the locking path just made: into the step's write
+  // set and, when the engine logs, into the redo.
+  void NoteWrite(storage::RowWrite::Kind kind, const storage::Table& table,
+                 storage::RowId id, storage::Row inserted = {},
+                 const std::vector<std::pair<int, storage::Value>>* columns =
+                     nullptr);
+
+  // The context of an A-lock on `assertion` (instance `number`), requested
+  // as the prefix actor after `prefix_steps` completed steps.
+  lock::RequestContext AssertionContext(const AssertionInstance& assertion,
+                                        uint32_t number,
+                                        int prefix_steps) const;
+
+  // Requests A-locks for `assertion` (instance `number`) on its items as
+  // the current prefix actor, waiting as needed; under two-level dispatch
+  // on its declaration item too ("locking the assertions themselves").
+  Status RequestAssertionLocks(const AssertionInstance& assertion,
+                               uint32_t number);
+
   // Grants A-locks for `assertion` (instance `number`) on its items,
-  // unconditionally, using the prefix actor for `completed_steps` completed
-  // steps. Under two-level dispatch, the assertion's declaration item is
-  // locked as well ("locking the assertions themselves").
+  // unconditionally, as the prefix actor of the step about to complete
+  // (and on its declaration item under two-level dispatch).
   void GrantAssertionLocks(const AssertionInstance& assertion,
                            uint32_t number);
 
@@ -227,19 +277,14 @@ class TxnContext {
   ExecMode mode_;
   bool analyzed_;
 
-  // Backend state (at most one of these is active, per mode_):
-  // kOptimistic — the read-set/write-buffer; every data access routes
-  // through it and no locks are ever taken.
-  std::unique_ptr<cc::OccBuffer> occ_;
-  // kMultiVersion, read-only program — the pinned snapshot; reads are
-  // lock-free against the version chains.
-  std::optional<cc::SnapshotReader> snapshot_;
+  // kOptimistic's read-set/write-buffer, or a kMultiVersion read-only
+  // program's pinned snapshot: every data access routes through it and no
+  // locks are taken. Null for the inline locking path (ACC, 2PL, MVCC
+  // writers).
+  std::unique_ptr<cc::LockFreeAccess> lock_free_;
   // kMultiVersion, writer — runs like kSerializable but registers a
   // pending version entry before every in-place write.
   bool mvcc_writer_ = false;
-  // LSN of the OCC commit record appended inside OccCommit's critical
-  // section (0 when no WAL or not yet committed).
-  uint64_t occ_commit_lsn_ = 0;
 
   storage::UndoLog undo_;
   bool in_step_ = false;
@@ -266,7 +311,7 @@ class TxnContext {
   // WAL (always empty otherwise — the simulation takes no extra work).
   // ACC forward steps drain it per step; serializable mode accumulates to
   // commit; a rolled-back step truncates back to step_redo_mark_.
-  std::vector<WalRedoOp> redo_;
+  std::vector<storage::RowWrite> redo_;
   size_t step_redo_mark_ = 0;
 };
 

@@ -148,23 +148,23 @@ std::string EncodeWalRecord(const WalRecord& record) {
   PutU32(&out, static_cast<uint32_t>(record.step_index));
   PutString(&out, record.work_area);
   PutU32(&out, static_cast<uint32_t>(record.redo.size()));
-  for (const WalRedoOp& op : record.redo) {
+  for (const storage::RowWrite& op : record.redo) {
     PutU8(&out, static_cast<uint8_t>(op.kind));
     PutU32(&out, op.table);
     PutU64(&out, op.row);
     switch (op.kind) {
-      case WalRedoOp::Kind::kInsert:
+      case storage::RowWrite::Kind::kInsert:
         PutU32(&out, static_cast<uint32_t>(op.row_data.size()));
         for (const storage::Value& v : op.row_data) PutValue(&out, v);
         break;
-      case WalRedoOp::Kind::kUpdate:
+      case storage::RowWrite::Kind::kUpdate:
         PutU32(&out, static_cast<uint32_t>(op.columns.size()));
         for (const auto& [col, v] : op.columns) {
           PutU32(&out, static_cast<uint32_t>(col));
           PutValue(&out, v);
         }
         break;
-      case WalRedoOp::Kind::kDelete:
+      case storage::RowWrite::Kind::kDelete:
         break;
     }
   }
@@ -191,17 +191,17 @@ bool DecodeWalRecord(std::string_view payload, WalRecord* out) {
   if (!c.GetU32(&redo_count) || redo_count > kMaxDecodeElements) return false;
   rec.redo.reserve(redo_count);
   for (uint32_t i = 0; i < redo_count; ++i) {
-    WalRedoOp op;
+    storage::RowWrite op;
     uint8_t kind;
     if (!c.GetU8(&kind) ||
-        kind > static_cast<uint8_t>(WalRedoOp::Kind::kDelete)) {
+        kind > static_cast<uint8_t>(storage::RowWrite::Kind::kDelete)) {
       return false;
     }
-    op.kind = static_cast<WalRedoOp::Kind>(kind);
+    op.kind = static_cast<storage::RowWrite::Kind>(kind);
     if (!c.GetU32(&op.table) || !c.GetU64(&op.row)) return false;
     uint32_t n;
     switch (op.kind) {
-      case WalRedoOp::Kind::kInsert: {
+      case storage::RowWrite::Kind::kInsert: {
         if (!c.GetU32(&n) || n > kMaxDecodeElements) return false;
         op.row_data.reserve(n);
         for (uint32_t j = 0; j < n; ++j) {
@@ -211,7 +211,7 @@ bool DecodeWalRecord(std::string_view payload, WalRecord* out) {
         }
         break;
       }
-      case WalRedoOp::Kind::kUpdate: {
+      case storage::RowWrite::Kind::kUpdate: {
         if (!c.GetU32(&n) || n > kMaxDecodeElements) return false;
         op.columns.reserve(n);
         for (uint32_t j = 0; j < n; ++j) {
@@ -222,7 +222,7 @@ bool DecodeWalRecord(std::string_view payload, WalRecord* out) {
         }
         break;
       }
-      case WalRedoOp::Kind::kDelete:
+      case storage::RowWrite::Kind::kDelete:
         break;
     }
     rec.redo.push_back(std::move(op));
@@ -425,7 +425,7 @@ void Wal::FlusherLoop() {
 // --- Recovery helpers ---
 
 Status ApplyWalRedo(storage::Database& db, const WalRecord& record) {
-  for (const WalRedoOp& op : record.redo) {
+  for (const storage::RowWrite& op : record.redo) {
     storage::Table* table = db.GetTable(op.table);
     if (table == nullptr) {
       return Status::Internal(
@@ -434,13 +434,13 @@ Status ApplyWalRedo(storage::Database& db, const WalRecord& record) {
     }
     Status s;
     switch (op.kind) {
-      case WalRedoOp::Kind::kInsert:
+      case storage::RowWrite::Kind::kInsert:
         s = table->InsertWithId(op.row, op.row_data);
         break;
-      case WalRedoOp::Kind::kUpdate:
+      case storage::RowWrite::Kind::kUpdate:
         s = table->UpdateColumns(op.row, op.columns);
         break;
-      case WalRedoOp::Kind::kDelete:
+      case storage::RowWrite::Kind::kDelete:
         s = table->Delete(op.row);
         break;
     }

@@ -51,6 +51,7 @@
 #include "common/status.h"
 #include "lock/types.h"
 #include "storage/database.h"
+#include "storage/row_write.h"
 
 namespace accdb::acc {
 
@@ -64,23 +65,9 @@ enum class LogRecordType : uint8_t {
   kCompensated,
 };
 
-// One physical write to replay at recovery. Inserts carry the full row and
-// its assigned RowId (replay re-inserts under the same id, so later records
-// that reference the row by id still resolve); updates carry the updated
-// (column, value) pairs; deletes just the id.
-struct WalRedoOp {
-  enum class Kind : uint8_t { kInsert, kUpdate, kDelete };
-
-  Kind kind = Kind::kUpdate;
-  storage::TableId table = 0;
-  storage::RowId row = storage::kInvalidRowId;
-  storage::Row row_data;                                // kInsert.
-  std::vector<std::pair<int, storage::Value>> columns;  // kUpdate.
-};
-
 // One durable log record. `redo` is populated on kEndOfStep (the step's
 // writes), kCompensated (the compensating step's writes) and kCommit under
-// the serializable baseline (the whole transaction's writes).
+// the monolithic backends (the whole transaction's writes).
 struct WalRecord {
   LogRecordType type = LogRecordType::kBegin;
   uint64_t lsn = 0;  // Assigned by Append.
@@ -88,7 +75,7 @@ struct WalRecord {
   std::string program;     // kBegin.
   int32_t step_index = 0;  // kEndOfStep (1-based).
   std::string work_area;   // kEndOfStep.
-  std::vector<WalRedoOp> redo;
+  std::vector<storage::RowWrite> redo;
 };
 
 // Serialization (exposed for tests; Append/scan use them internally).

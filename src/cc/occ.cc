@@ -377,7 +377,7 @@ Status OccBuffer::Delete(storage::Table& table, storage::RowId id) {
   return Status::Ok();
 }
 
-Status OccBuffer::Commit(std::vector<OccAppliedWrite>* applied,
+Status OccBuffer::Commit(std::vector<storage::RowWrite>* applied,
                          const std::function<void()>& log_commit) {
   std::lock_guard<std::mutex> commit(versions_->commit_mutex());
 
@@ -410,23 +410,16 @@ Status OccBuffer::Commit(std::vector<OccAppliedWrite>* applied,
       assert(status.ok() && "validated delete must apply");
       (void)status;
       if (applied != nullptr) {
-        OccAppliedWrite out;
-        out.kind = OccAppliedWrite::Kind::kDelete;
-        out.table = item.table;
-        out.row = item.row;
-        applied->push_back(std::move(out));
+        applied->push_back(
+            {storage::RowWrite::Kind::kDelete, item.table, item.row, {}, {}});
       }
     } else {
       Status status = w.table->UpdateColumns(item.row, w.columns);
       assert(status.ok() && "validated update must apply");
       (void)status;
       if (applied != nullptr) {
-        OccAppliedWrite out;
-        out.kind = OccAppliedWrite::Kind::kUpdate;
-        out.table = item.table;
-        out.row = item.row;
-        out.columns = w.columns;
-        applied->push_back(std::move(out));
+        applied->push_back({storage::RowWrite::Kind::kUpdate, item.table,
+                            item.row, {}, w.columns});
       }
     }
     versions_->Bump(item);
@@ -436,12 +429,8 @@ Status OccBuffer::Commit(std::vector<OccAppliedWrite>* applied,
     assert(inserted.ok() && "validated insert must apply");
     versions_->Bump(lock::ItemId::Row(ins.table->id(), *inserted));
     if (applied != nullptr) {
-      OccAppliedWrite out;
-      out.kind = OccAppliedWrite::Kind::kInsert;
-      out.table = ins.table->id();
-      out.row = *inserted;
-      out.row_data = std::move(ins.row);
-      applied->push_back(std::move(out));
+      applied->push_back({storage::RowWrite::Kind::kInsert, ins.table->id(),
+                          *inserted, std::move(ins.row), {}});
     }
   }
   // Log the commit BEFORE the mutex releases: the writes just applied are

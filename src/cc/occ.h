@@ -57,8 +57,10 @@
 #include <utility>
 #include <vector>
 
+#include "cc/lock_free_access.h"
 #include "common/status.h"
 #include "lock/types.h"
+#include "storage/row_write.h"
 #include "storage/table.h"
 
 namespace accdb::cc {
@@ -101,24 +103,12 @@ class OccVersionTable {
   std::mutex commit_mu_;
 };
 
-// One applied write, reported back from Commit() so the transaction layer
-// can translate it into its WAL redo format (this layer cannot name the WAL
-// types without depending on src/acc).
-struct OccAppliedWrite {
-  enum class Kind : uint8_t { kInsert, kUpdate, kDelete };
-  Kind kind;
-  storage::TableId table = 0;
-  storage::RowId row = 0;                               // Real id.
-  storage::Row row_data;                                // kInsert only.
-  std::vector<std::pair<int, storage::Value>> columns;  // kUpdate only.
-};
-
 // Per-transaction-attempt OCC state: the read set (item -> first-observed
 // version), the write buffer (updates/deletes of committed rows, keyed by
 // item, applied in first-write order), and buffered inserts under virtual
 // RowIds. All read methods overlay the buffer on the committed table state
 // so the transaction reads its own writes.
-class OccBuffer {
+class OccBuffer : public LockFreeAccess {
  public:
   explicit OccBuffer(OccVersionTable* versions) : versions_(versions) {}
 
@@ -127,32 +117,36 @@ class OccBuffer {
 
   // --- Reads (overlay buffered writes on committed state) ---
 
-  // `bound_id` (if set) receives the RowId the key resolved to: a virtual
-  // id for this transaction's own buffered insert.
+  // A key that resolves to this transaction's own buffered insert binds
+  // `bound_id` to its virtual id.
   Result<storage::Row> ReadByKey(const storage::Table& table,
                                  const storage::CompositeKey& key,
-                                 storage::RowId* bound_id = nullptr);
+                                 storage::RowId* bound_id) override;
   Result<storage::Row> ReadById(const storage::Table& table,
-                                storage::RowId id);
-  Result<std::vector<std::pair<storage::RowId, storage::Row>>> ScanPkPrefix(
-      const storage::Table& table, const storage::CompositeKey& prefix);
-  Result<std::optional<std::pair<storage::RowId, storage::Row>>> MinPkPrefix(
-      const storage::Table& table, const storage::CompositeKey& prefix);
-  Result<std::vector<std::pair<storage::RowId, storage::Row>>>
-  ScanIndexPrefix(const storage::Table& table, storage::IndexId index,
-                  const storage::CompositeKey& prefix);
+                                storage::RowId id) override;
+  Result<std::vector<RowPair>> ScanPkPrefix(
+      const storage::Table& table,
+      const storage::CompositeKey& prefix) override;
+  Result<std::optional<RowPair>> MinPkPrefix(
+      const storage::Table& table,
+      const storage::CompositeKey& prefix) override;
+  Result<std::vector<RowPair>> ScanIndexPrefix(
+      const storage::Table& table, storage::IndexId index,
+      const storage::CompositeKey& prefix) override;
 
   // --- Buffered writes ---
 
-  Result<storage::RowId> Insert(storage::Table& table, storage::Row row);
-  Status Update(storage::Table& table, storage::RowId id,
-                const std::vector<std::pair<int, storage::Value>>& updates);
-  Status Delete(storage::Table& table, storage::RowId id);
+  Result<storage::RowId> Insert(storage::Table& table,
+                                storage::Row row) override;
+  Status Update(
+      storage::Table& table, storage::RowId id,
+      const std::vector<std::pair<int, storage::Value>>& updates) override;
+  Status Delete(storage::Table& table, storage::RowId id) override;
 
   // Validate + apply under the version table's commit mutex. On success the
   // buffered writes are in the tables, their versions bumped, and (when
-  // `applied` is non-null) one OccAppliedWrite per table mutation pushed in
-  // apply order; `log_commit` (when set) then runs while the mutex is STILL
+  // `applied` is non-null) one RowWrite per table mutation pushed in apply
+  // order; `log_commit` (when set) then runs while the mutex is STILL
   // HELD, after `applied` is complete. The caller appends its WAL commit
   // record there: a dependent transaction can only read these writes and
   // then validate+log by taking the same mutex, so its record necessarily
@@ -160,8 +154,8 @@ class OccBuffer {
   // order to coincide. Failure returns kDeadlock (the engine restarts the
   // transaction), leaves the tables untouched, and never calls
   // `log_commit`.
-  Status Commit(std::vector<OccAppliedWrite>* applied,
-                const std::function<void()>& log_commit = nullptr);
+  Status Commit(std::vector<storage::RowWrite>* applied,
+                const std::function<void()>& log_commit) override;
 
   size_t read_set_size() const { return reads_.size(); }
 

@@ -160,7 +160,7 @@ std::optional<storage::Row> SnapshotReader::Reconstruct(
 }
 
 Result<storage::Row> SnapshotReader::ReadById(const storage::Table& table,
-                                              storage::RowId id) const {
+                                              storage::RowId id) {
   std::optional<storage::Row> row = Reconstruct(table, id);
   if (!row.has_value()) return Status::NotFound(table.name() + " row");
   return *std::move(row);
@@ -168,7 +168,7 @@ Result<storage::Row> SnapshotReader::ReadById(const storage::Table& table,
 
 Result<storage::Row> SnapshotReader::ReadByKey(
     const storage::Table& table, const storage::CompositeKey& key,
-    storage::RowId* bound_id) const {
+    storage::RowId* bound_id) {
   std::optional<storage::RowId> id = table.LookupPk(key);
   if (!id.has_value()) {
     return Status::NotFound(table.name() + " " +
@@ -185,7 +185,7 @@ Result<storage::Row> SnapshotReader::ReadByKey(
 
 Result<std::vector<std::pair<storage::RowId, storage::Row>>>
 SnapshotReader::ScanPkPrefix(const storage::Table& table,
-                             const storage::CompositeKey& prefix) const {
+                             const storage::CompositeKey& prefix) {
   std::vector<std::pair<storage::RowId, storage::Row>> out;
   for (storage::RowId id : table.ScanPkPrefix(prefix)) {
     std::optional<storage::Row> row = Reconstruct(table, id);
@@ -196,7 +196,7 @@ SnapshotReader::ScanPkPrefix(const storage::Table& table,
 
 Result<std::optional<std::pair<storage::RowId, storage::Row>>>
 SnapshotReader::MinPkPrefix(const storage::Table& table,
-                            const storage::CompositeKey& prefix) const {
+                            const storage::CompositeKey& prefix) {
   // A created-after-snapshot row can hold the live minimum while being
   // invisible here, so walk the full prefix range and take the first
   // visible row (the scan is key-ordered).
@@ -213,7 +213,7 @@ SnapshotReader::MinPkPrefix(const storage::Table& table,
 Result<std::vector<std::pair<storage::RowId, storage::Row>>>
 SnapshotReader::ScanIndexPrefix(const storage::Table& table,
                                 storage::IndexId index,
-                                const storage::CompositeKey& prefix) const {
+                                const storage::CompositeKey& prefix) {
   std::vector<std::pair<storage::RowId, storage::Row>> out;
   for (storage::RowId id : table.ScanIndexPrefix(index, prefix)) {
     std::optional<storage::Row> row = Reconstruct(table, id);

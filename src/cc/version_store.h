@@ -54,6 +54,7 @@
 #include <utility>
 #include <vector>
 
+#include "cc/lock_free_access.h"
 #include "common/status.h"
 #include "lock/types.h"
 #include "storage/table.h"
@@ -130,35 +131,41 @@ class VersionStore {
 };
 
 // Read methods for one pinned snapshot: GetCopy the live row first, then
-// overlay VersionStore::Resolve. Stateless beyond (store, snapshot); the
-// transaction layer owns the snapshot lifecycle.
-class SnapshotReader {
+// overlay VersionStore::Resolve. The reader pins a fresh snapshot when it is
+// constructed and releases it when destroyed. The writes are
+// LockFreeAccess's refusals: a snapshot transaction is read-only.
+class SnapshotReader : public LockFreeAccess {
  public:
-  SnapshotReader(const VersionStore* store, uint64_t snapshot)
-      : store_(store), snapshot_(snapshot) {}
+  explicit SnapshotReader(VersionStore* store)
+      : store_(store), snapshot_(store->AcquireSnapshot()) {}
+  ~SnapshotReader() override { store_->ReleaseSnapshot(snapshot_); }
+
+  SnapshotReader(const SnapshotReader&) = delete;
+  SnapshotReader& operator=(const SnapshotReader&) = delete;
 
   uint64_t snapshot() const { return snapshot_; }
 
   Result<storage::Row> ReadById(const storage::Table& table,
-                                storage::RowId id) const;
-  // `bound_id` (if set) receives the RowId the key resolved to.
+                                storage::RowId id) override;
   Result<storage::Row> ReadByKey(const storage::Table& table,
                                  const storage::CompositeKey& key,
-                                 storage::RowId* bound_id = nullptr) const;
-  Result<std::vector<std::pair<storage::RowId, storage::Row>>> ScanPkPrefix(
-      const storage::Table& table, const storage::CompositeKey& prefix) const;
-  Result<std::optional<std::pair<storage::RowId, storage::Row>>> MinPkPrefix(
-      const storage::Table& table, const storage::CompositeKey& prefix) const;
-  Result<std::vector<std::pair<storage::RowId, storage::Row>>>
-  ScanIndexPrefix(const storage::Table& table, storage::IndexId index,
-                  const storage::CompositeKey& prefix) const;
+                                 storage::RowId* bound_id) override;
+  Result<std::vector<RowPair>> ScanPkPrefix(
+      const storage::Table& table,
+      const storage::CompositeKey& prefix) override;
+  Result<std::optional<RowPair>> MinPkPrefix(
+      const storage::Table& table,
+      const storage::CompositeKey& prefix) override;
+  Result<std::vector<RowPair>> ScanIndexPrefix(
+      const storage::Table& table, storage::IndexId index,
+      const storage::CompositeKey& prefix) override;
 
  private:
   // nullopt = the row is invisible at this snapshot.
   std::optional<storage::Row> Reconstruct(const storage::Table& table,
                                           storage::RowId id) const;
 
-  const VersionStore* store_;
+  VersionStore* store_;
   uint64_t snapshot_;
 };
 

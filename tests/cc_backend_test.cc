@@ -450,7 +450,9 @@ TEST_F(CcBackendTest, MvccSnapshotTransactionsCannotWrite) {
 
 TEST_F(CcBackendTest, MvccGcNeverReclaimsVersionsVisibleToActiveSnapshot) {
   cc::VersionStore& store = engine_->version_store();
-  const uint64_t snapshot = store.AcquireSnapshot();
+  // The reader pins its snapshot for as long as it lives.
+  auto reader = std::make_unique<cc::SnapshotReader>(&store);
+  const uint64_t snapshot = reader->snapshot();
   // Two committed writes push two chain entries past the snapshot.
   for (int64_t v = 1; v <= 2; ++v) {
     ImmediateEnv writer_env;
@@ -467,13 +469,12 @@ TEST_F(CcBackendTest, MvccGcNeverReclaimsVersionsVisibleToActiveSnapshot) {
   EXPECT_EQ(store.GcWatermark(), snapshot);
   // Forced GC reclaims nothing the pinned snapshot can still reach.
   EXPECT_EQ(store.Gc(), 0u);
-  cc::SnapshotReader reader(&store, snapshot);
   Result<Row> as_of =
-      reader.ReadById(*counter_a_, storage::kVariableRowId);
+      reader->ReadById(*counter_a_, storage::kVariableRowId);
   ASSERT_TRUE(as_of.ok());
   EXPECT_EQ((*as_of)[0].AsInt64(), 0);  // Pre-writer value reconstructed.
   // Once released, the whole chain is reclaimable.
-  store.ReleaseSnapshot(snapshot);
+  reader.reset();
   EXPECT_GE(store.Gc(), 1u);
   EXPECT_EQ(store.entry_count(), 0u);
 }

@@ -1,6 +1,7 @@
 // Crash-recovery integration harness: the real kill -9.
 //
-//   1. fork/exec accdb_server on an ephemeral port with a WAL, W=2;
+//   1. fork/exec accdb_server on an ephemeral port with a WAL, W=2, under
+//      the requested CC backend;
 //   2. drive the TPC-C mix through real TCP connections (net::RunLoadGen);
 //   3. SIGKILL the server mid-benchmark — no drain, no destructor, the WAL
 //      file is whatever WaitDurable had forced;
@@ -9,8 +10,11 @@
 //      transaction (failed == 0, missing_compensator == 0) and pass the
 //      full TPC-C consistency check.
 //
-// Usage: crash_recovery_harness <path-to-accdb_server>   (plain main, not
-// gtest: the interesting assertions are child exit codes).
+// Usage: crash_recovery_harness <path-to-accdb_server> [--mode=MODE], with
+// MODE one of acc (the default), 2pl, occ, mvcc. Plain main, not gtest: the
+// interesting assertions are child exit codes. Recovery is the same for
+// every backend: only ACC leaves in-flight transactions to compensate, the
+// others log each transaction in one commit record.
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -21,6 +25,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -103,8 +108,14 @@ bool Contains(const std::string& haystack, const char* needle) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc != 2) {
-    std::fprintf(stderr, "usage: %s <path-to-accdb_server>\n", argv[0]);
+  std::string mode = "acc";
+  if (argc == 3 && std::string_view(argv[2]).starts_with("--mode=")) {
+    mode = argv[2] + std::strlen("--mode=");
+  } else if (argc != 2) {
+    std::fprintf(stderr,
+                 "usage: %s <path-to-accdb_server> [--mode=acc|2pl|occ|mvcc]"
+                 "\n",
+                 argv[0]);
     return 2;
   }
   const std::string server_path = argv[1];
@@ -115,7 +126,7 @@ int main(int argc, char** argv) {
   const std::string warehouses = "2";
 
   ChildProcess server = SpawnChild(
-      {server_path, "--port=0", "--mode=acc", "--workers=4",
+      {server_path, "--port=0", "--mode=" + mode, "--workers=4",
        "--seed=" + seed, "--warehouses=" + warehouses,
        "--wal-path=" + wal_path, "--group-commit-us=100"});
   const uint16_t port = AwaitPortLine(server.stdout_fd);
@@ -181,7 +192,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: post-recovery consistency check failed\n");
     ok = false;
   }
-  std::fprintf(stderr, ok ? "PASS: clean recovery after kill -9\n"
-                          : "FAIL: see above\n");
+  std::fprintf(stderr, ok ? "PASS: clean recovery after kill -9 (%s)\n"
+                          : "FAIL: see above (%s)\n",
+               mode.c_str());
   return ok ? 0 : 1;
 }

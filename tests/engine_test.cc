@@ -233,8 +233,9 @@ TEST_F(EngineTest, StepLocksReleasedBetweenSteps) {
               engine_->lock_manager().Holds(c.txn_id(), item, lock::LockMode::kX));
           return Status::Ok();
         }));
-    // Between steps: X released, kComp held, next assertion protects the
-    // written item (auto_protect_writes).
+    // Between steps: X released, kComp held, and the next assertion's
+    // A-lock extended to the written item (CompleteStep's dynamic
+    // protection).
     EXPECT_FALSE(
         engine_->lock_manager().Holds(observed_txn, item, lock::LockMode::kX));
     EXPECT_TRUE(engine_->lock_manager().Holds(observed_txn, item,
@@ -555,6 +556,152 @@ TEST_F(EngineTest, CrashRecoveryCompensatesInFlight) {
   ::unlink(config.wal.path.c_str());
 }
 
+// --- WAL shape per backend ---
+
+// Each record as "<type>:<redo ops>" ("begin" alone), in LSN order.
+std::vector<std::string> Shape(const std::vector<WalRecord>& records) {
+  std::vector<std::string> shape;
+  for (const WalRecord& rec : records) {
+    switch (rec.type) {
+      case LogRecordType::kBegin:
+        shape.push_back("begin");
+        continue;
+      case LogRecordType::kEndOfStep:
+        shape.push_back("eos");
+        break;
+      case LogRecordType::kCommit:
+        shape.push_back("commit");
+        break;
+      case LogRecordType::kCompensated:
+        shape.push_back("comp");
+        break;
+    }
+    shape.back() += ":" + std::to_string(rec.redo.size());
+  }
+  return shape;
+}
+
+// The log records each backend writes for commit, voluntary abort and a
+// deadlock (or, for OCC, validation) restart. ACC logs a begin, one redo-
+// carrying record per completed step and an empty-redo commit or a
+// compensated record; the monolithic backends log one commit carrying the
+// whole transaction's redo, and nothing at all when they abort.
+class EngineWalShapeTest : public EngineTest,
+                           public ::testing::WithParamInterface<ExecMode> {
+ public:
+  using Records = std::vector<std::string>;
+
+  bool acc() const { return GetParam() == ExecMode::kAccDecomposed; }
+  // The expected shape: `acc_shape` under ACC, `other_shape` otherwise.
+  Records Expected(Records acc_shape, Records other_shape) const {
+    return acc() ? acc_shape : other_shape;
+  }
+};
+
+TEST_P(EngineWalShapeTest, CommitOfTwoWrites) {
+  AttachWal("engine_shape_commit.wal");
+  TwoStepInc txn(this);
+  ASSERT_TRUE(engine_->Execute(txn.program_, env_, GetParam()).status.ok());
+  EXPECT_EQ(Shape(CloseAndScanWal()),
+            Expected({"begin", "eos:1", "eos:1", "commit:0"}, {"commit:2"}));
+}
+
+TEST_P(EngineWalShapeTest, CommitOfReadOnlyProgram) {
+  AttachWal("engine_shape_read_only.wal");
+  FunctionProgram prog("read_a", [&](TxnContext& ctx) {
+    return ctx.RunStep(step_inc_, {1}, AssertionInstance{},
+                       [&](TxnContext& c) -> Status {
+                         return c.ReadVariable(*counter_a_).status();
+                       });
+  });
+  prog.set_read_only(true);
+  ASSERT_TRUE(engine_->Execute(prog, env_, GetParam()).status.ok());
+  EXPECT_EQ(Shape(CloseAndScanWal()),
+            Expected({"begin", "eos:0", "commit:0"}, {"commit:0"}));
+}
+
+TEST_P(EngineWalShapeTest, VoluntaryAbortInFirstStep) {
+  AttachWal("engine_shape_abort_step1.wal");
+  FunctionProgram prog("abort_step1", [&](TxnContext& ctx) {
+    return ctx.RunStep(step_inc_, {1}, AssertionInstance{},
+                       [&](TxnContext& c) -> Status {
+                         ACCDB_RETURN_IF_ERROR(c.WriteVariable(*counter_a_, 7));
+                         return Status::Aborted("change of heart");
+                       });
+  });
+  ExecResult result = engine_->Execute(prog, env_, GetParam());
+  EXPECT_EQ(result.status.code(), StatusCode::kAborted);
+  EXPECT_EQ(result.txn_restarts, 0);
+  // ACC's zero-step abort is unforced bookkeeping: nothing became durable.
+  EXPECT_EQ(engine_->wal()->durable_lsn(), 0u);
+  EXPECT_EQ(ReadCounter(counter_a_), 0);
+  EXPECT_EQ(Shape(CloseAndScanWal()), Expected({"begin", "comp:0"}, {}));
+}
+
+TEST_P(EngineWalShapeTest, VoluntaryAbortBetweenSteps) {
+  AttachWal("engine_shape_abort_between.wal");
+  TwoStepInc txn(this);
+  txn.abort_between_steps = true;
+  ExecResult result = engine_->Execute(txn.program_, env_, GetParam());
+  EXPECT_EQ(result.status.code(), StatusCode::kAborted);
+  EXPECT_EQ(result.compensated, acc());
+  EXPECT_EQ(ReadCounter(counter_a_), 0);
+  EXPECT_EQ(Shape(CloseAndScanWal()),
+            Expected({"begin", "eos:1", "comp:1"}, {}));
+}
+
+TEST_P(EngineWalShapeTest, DeadlockOrValidationRestart) {
+  // A and B update both counters in opposite orders with a pause between:
+  // under locking one of them loses the deadlock, under OCC the later
+  // committer fails validation. Either way exactly one restarts. No step
+  // retry, so an ACC victim restarts the whole transaction too.
+  config_.step_retry_limit = 0;
+  AttachWal("engine_shape_restart.wal");
+  sim::Simulation sim;
+  SimExecutionEnv env_a(sim, nullptr), env_b(sim, nullptr);
+  auto cross = [&](storage::Table* first, storage::Table* second) {
+    return std::make_unique<FunctionProgram>(
+        "cross", [=, this](TxnContext& ctx) -> Status {
+          return ctx.RunStep(
+              step_inc_, {}, AssertionInstance{},
+              [=](TxnContext& c) -> Status {
+                ACCDB_ASSIGN_OR_RETURN(int64_t v1,
+                                       c.ReadVariable(*first, true));
+                ACCDB_RETURN_IF_ERROR(c.WriteVariable(*first, v1 + 1));
+                c.Compute(0.5);
+                ACCDB_ASSIGN_OR_RETURN(int64_t v2,
+                                       c.ReadVariable(*second, true));
+                return c.WriteVariable(*second, v2 + 1);
+              });
+        });
+  };
+  auto prog_a = cross(counter_a_, counter_b_);
+  auto prog_b = cross(counter_b_, counter_a_);
+  ExecResult ra, rb;
+  sim.Spawn("a", [&] { ra = engine_->Execute(*prog_a, env_a, GetParam()); });
+  sim.Spawn("b", [&] {
+    sim.Delay(0.01);
+    rb = engine_->Execute(*prog_b, env_b, GetParam());
+  });
+  sim.Run();
+  ASSERT_TRUE(ra.status.ok());
+  ASSERT_TRUE(rb.status.ok());
+  EXPECT_EQ(ra.txn_restarts + rb.txn_restarts, 1);
+  EXPECT_EQ(ReadCounter(counter_a_), 2);
+  EXPECT_EQ(ReadCounter(counter_b_), 2);
+  EXPECT_EQ(Shape(CloseAndScanWal()),
+            Expected({"begin", "begin", "comp:0", "begin", "eos:2",
+                      "commit:0", "eos:2", "commit:0"},
+                     {"commit:2", "commit:2"}));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, EngineWalShapeTest,
+    ::testing::Values(ExecMode::kAccDecomposed, ExecMode::kSerializable,
+                      ExecMode::kOptimistic, ExecMode::kMultiVersion),
+    [](const ::testing::TestParamInfo<ExecMode>& info) {
+      return std::string(ExecModeName(info.param));
+    });
 
 // --- TxnIdAllocator ---
 

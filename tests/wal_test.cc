@@ -25,23 +25,23 @@ WalRecord SampleEndOfStep(lock::TxnId txn, int32_t step) {
   rec.txn = txn;
   rec.step_index = step;
   rec.work_area = "serialized work area bytes \x01\x02\x03";
-  WalRedoOp update;
-  update.kind = WalRedoOp::Kind::kUpdate;
+  storage::RowWrite update;
+  update.kind = storage::RowWrite::Kind::kUpdate;
   update.table = 3;
   update.row = 42;
   update.columns.emplace_back(1, storage::Value(int64_t{-7}));
   update.columns.emplace_back(4, storage::Value(std::string("abc")));
   rec.redo.push_back(std::move(update));
-  WalRedoOp insert;
-  insert.kind = WalRedoOp::Kind::kInsert;
+  storage::RowWrite insert;
+  insert.kind = storage::RowWrite::Kind::kInsert;
   insert.table = 9;
   insert.row = 1000 + static_cast<storage::RowId>(step);
   insert.row_data = {storage::Value(int64_t{5}), storage::Value(2.5),
                      storage::Value(Money::FromCents(1234)),
                      storage::Value(std::string("row"))};
   rec.redo.push_back(std::move(insert));
-  WalRedoOp del;
-  del.kind = WalRedoOp::Kind::kDelete;
+  storage::RowWrite del;
+  del.kind = storage::RowWrite::Kind::kDelete;
   del.table = 2;
   del.row = 17;
   rec.redo.push_back(std::move(del));
