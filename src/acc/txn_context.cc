@@ -49,20 +49,19 @@ lock::RequestContext TxnContext::BuildContext() const {
   return ctx;
 }
 
-TxnContext::TableIntent* TxnContext::FindTableIntent(
-    storage::TableId table) {
+TxnContext::TableIntent* TxnContext::FindTableIntent(lock::ItemId item) {
   auto it = std::find_if(
       table_intents_.begin(), table_intents_.end(),
-      [table](const TableIntent& intent) { return intent.table == table; });
+      [item](const TableIntent& intent) { return intent.item == item; });
   return it == table_intents_.end() ? nullptr : &*it;
 }
 
 void TxnContext::NoteGranted(lock::ItemId item, lock::LockMode mode) {
   if (!item.is_table()) return;
-  if (TableIntent* intent = FindTableIntent(item.table)) {
+  if (TableIntent* intent = FindTableIntent(item)) {
     intent->mode = lock::ModeCombine(intent->mode, mode);
   } else {
-    table_intents_.push_back(TableIntent{item.table, mode});
+    table_intents_.push_back(TableIntent{item, mode});
   }
 }
 
@@ -85,11 +84,12 @@ Status TxnContext::RequestAndWait(lock::ItemId item, lock::LockMode mode,
 
 Status TxnContext::AcquireLock(lock::ItemId item, lock::LockMode mode) {
   if (item.is_table()) {
-    const TableIntent* intent = FindTableIntent(item.table);
+    const TableIntent* intent = FindTableIntent(item);
     if (intent != nullptr && lock::ModeCovers(intent->mode, mode)) {
       lock::LockManager& lm = engine_->lock_manager();
       // Covered re-request: the lock manager would grant it at once, after
-      // a visit to the table's partition. Answer it here, counted the same.
+      // a visit to the table item's partition. Answer it here, counted the
+      // same.
 #ifdef ACCDB_EXPENSIVE_CHECKS
       if (!lm.Holds(txn_, item, mode)) {
         std::fprintf(stderr, "txn %llu table-intent memo claims %s on %s\n",
@@ -149,9 +149,17 @@ void TxnContext::ChargeStatement(double base_cost) {
 }
 
 Status TxnContext::LockTableForStatement(const storage::Table& table,
+                                         std::optional<size_t> shard,
                                          bool for_update) {
-  return AcquireLock(lock::ItemId::Table(table.id()),
-                     for_update ? lock::LockMode::kIX : lock::LockMode::kIS);
+  const lock::LockMode mode =
+      for_update ? lock::LockMode::kIX : lock::LockMode::kIS;
+  if (shard.has_value()) {
+    return AcquireLock(lock::ItemId::Table(table.id(), *shard), mode);
+  }
+  for (const lock::ItemId& item : lock::ItemId::ShardItems(table)) {
+    ACCDB_RETURN_IF_ERROR(AcquireLock(item, mode));
+  }
+  return Status::Ok();
 }
 
 Status TxnContext::LockRowForStatement(const storage::Table& table,
@@ -183,7 +191,8 @@ Result<storage::Row> TxnContext::ReadByKey(const storage::Table& table,
   if (lock_free_ != nullptr) {
     return ChargeLockFreeRead(lock_free_->ReadByKey(table, key, bound_id));
   }
-  ACCDB_RETURN_IF_ERROR(LockTableForStatement(table, for_update));
+  ACCDB_RETURN_IF_ERROR(
+      LockTableForStatement(table, table.ShardOfKey(key), for_update));
   // Lookup-lock-verify loop: the binding key -> row id may change while we
   // wait for the row lock. Primary keys are immutable and RowIds are never
   // reused (InsertWithId restores a row under its own key), so a row that
@@ -210,7 +219,8 @@ Result<storage::Row> TxnContext::ReadById(const storage::Table& table,
   if (lock_free_ != nullptr) {
     return ChargeLockFreeRead(lock_free_->ReadById(table, id));
   }
-  ACCDB_RETURN_IF_ERROR(LockTableForStatement(table, for_update));
+  ACCDB_RETURN_IF_ERROR(
+      LockTableForStatement(table, storage::RowIdShard(id), for_update));
   ACCDB_RETURN_IF_ERROR(LockRowForStatement(table, id, for_update));
   const storage::Row* row = table.Get(id);
   ChargeStatement(engine_->config().costs.read_statement);
@@ -227,7 +237,8 @@ TxnContext::ScanPkPrefix(const storage::Table& table,
   if (lock_free_ != nullptr) {
     return ChargeLockFreeRead(lock_free_->ScanPkPrefix(table, prefix));
   }
-  ACCDB_RETURN_IF_ERROR(LockTableForStatement(table, for_update));
+  ACCDB_RETURN_IF_ERROR(LockTableForStatement(
+      table, table.ShardOfPkPrefix(prefix), for_update));
   return LockAndCopyRows(table, table.ScanPkPrefix(prefix), for_update);
 }
 
@@ -237,7 +248,8 @@ TxnContext::MinPkPrefix(const storage::Table& table,
   if (lock_free_ != nullptr) {
     return ChargeLockFreeRead(lock_free_->MinPkPrefix(table, prefix));
   }
-  ACCDB_RETURN_IF_ERROR(LockTableForStatement(table, for_update));
+  ACCDB_RETURN_IF_ERROR(LockTableForStatement(
+      table, table.ShardOfPkPrefix(prefix), for_update));
   for (;;) {
     std::optional<storage::RowId> id = table.MinPkPrefix(prefix);
     if (!id.has_value()) {
@@ -264,7 +276,8 @@ TxnContext::ScanIndexPrefix(const storage::Table& table,
     return ChargeLockFreeRead(
         lock_free_->ScanIndexPrefix(table, index, prefix));
   }
-  ACCDB_RETURN_IF_ERROR(LockTableForStatement(table, for_update));
+  ACCDB_RETURN_IF_ERROR(LockTableForStatement(
+      table, table.ShardOfIndexPrefix(index, prefix), for_update));
   return LockAndCopyRows(table, table.ScanIndexPrefix(index, prefix),
                          for_update);
 }
@@ -277,7 +290,8 @@ Result<storage::RowId> TxnContext::Insert(storage::Table& table,
     return ChargeLockFreeWrite(lock_free_->Insert(table, std::move(row)));
   }
   ACCDB_RETURN_IF_ERROR(
-      AcquireLock(lock::ItemId::Table(table.id()), lock::LockMode::kIX));
+      AcquireLock(lock::ItemId::Table(table.id(), table.ShardOfRow(row)),
+                  lock::LockMode::kIX));
   // The X-lock on the new row is taken inside the table's publication hook,
   // i.e. under the exclusive table latch, so no concurrent scanner can ever
   // observe the row before this transaction holds it. The grant is
@@ -341,7 +355,8 @@ Status TxnContext::Delete(storage::Table& table, storage::RowId id) {
 Status TxnContext::LockAndSaveRow(storage::Table& table, storage::RowId id,
                                   cc::VersionStore::Kind kind) {
   ACCDB_RETURN_IF_ERROR(
-      AcquireLock(lock::ItemId::Table(table.id()), lock::LockMode::kIX));
+      AcquireLock(lock::ItemId::Table(table.id(), storage::RowIdShard(id)),
+                  lock::LockMode::kIX));
   ACCDB_RETURN_IF_ERROR(
       AcquireLock(lock::ItemId::Row(table.id(), id), lock::LockMode::kX));
   const storage::Row* before = table.Get(id);
@@ -604,10 +619,11 @@ void TxnContext::CompleteStep(const AssertionInstance& next_assertion,
   const bool protect = !next_assertion.empty();
   for (const lock::ItemId& item : step_writes_) {
     marks.comp.push_back(item);
-    // The compensating step will also need the table-level intent lock of
-    // every row it touches; mark the table too so compensation never waits
-    // for foreign assertional locks at any granularity (Section 3.4).
-    marks.comp.push_back(lock::ItemId::Table(item.table));
+    // The compensating step will also need the intent lock on the table
+    // item of every row it touches (the row's shard item); mark that item
+    // too so compensation never waits for foreign assertional locks at any
+    // granularity (Section 3.4).
+    marks.comp.push_back(lock::ItemId::Table(item.table, item.shard()));
     if (protect) marks.asserts.push_back(item);
   }
 

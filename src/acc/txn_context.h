@@ -8,6 +8,11 @@
 //     rows, as production systems do);
 //   * writes take IX table locks and X row locks, record before-images in
 //     the step/transaction undo log, and are tracked in the step write set;
+//   * a "table lock" goes on the table item of the storage shard the
+//     statement touches (lock::ItemId::Table): the row's shard for keyed and
+//     id-addressed access and inserts, the prefix's shard for routable
+//     scans, and every shard's item, in ascending order, for a scan that
+//     spans them all;
 //   * each statement charges CostModel server time, plus ACC lock-overhead
 //     time proportional to the lock-manager calls it made.
 // OCC and MVCC read-only programs take no locks: each data-access method
@@ -159,9 +164,9 @@ class TxnContext {
     bool held = false;
   };
 
-  // A conventional mode this transaction holds on a table item.
+  // A conventional mode this transaction holds on a (shard) table item.
   struct TableIntent {
-    storage::TableId table;
+    lock::ItemId item;
     lock::LockMode mode;
   };
 
@@ -174,7 +179,7 @@ class TxnContext {
   // table-item request that a held mode covers is answered from
   // table_intents_ instead, with the same answer and the same counts.
   Status AcquireLock(lock::ItemId item, lock::LockMode mode);
-  TableIntent* FindTableIntent(storage::TableId table);
+  TableIntent* FindTableIntent(lock::ItemId item);
   // Records a granted conventional request in table_intents_ (table items
   // only).
   void NoteGranted(lock::ItemId item, lock::LockMode mode);
@@ -186,8 +191,10 @@ class TxnContext {
   // timeout the queued request is cancelled and kDeadlineExceeded returned.
   Status AwaitTimed(lock::LockMode mode);
 
-  // The read paths' locks: IS/IX on the table, S/X on a row.
-  Status LockTableForStatement(const storage::Table& table, bool for_update);
+  // The read paths' locks: IS/IX on the table item of `shard`, or of every
+  // shard when it is std::nullopt; S/X on a row.
+  Status LockTableForStatement(const storage::Table& table,
+                               std::optional<size_t> shard, bool for_update);
   Status LockRowForStatement(const storage::Table& table, storage::RowId id,
                              bool for_update);
   // Locks and copies each of `ids` that is still live, then charges the
@@ -197,9 +204,10 @@ class TxnContext {
                   const std::vector<storage::RowId>& ids, bool for_update);
 
   // The update/delete locking path before the in-place write: IX on the
-  // table, X on the row, then its before-image into the undo log and, for
-  // an MVCC writer, into a pending version (RegisterVersion). NotFound,
-  // with the statement charged, when the row is gone.
+  // row's shard table item, X on the row, then its before-image into the
+  // undo log and, for an MVCC writer, into a pending version
+  // (RegisterVersion). NotFound, with the statement charged, when the row
+  // is gone.
   Status LockAndSaveRow(storage::Table& table, storage::RowId id,
                         cc::VersionStore::Kind kind);
   // An MVCC writer registers the row's pending version entry; a no-op for
@@ -292,9 +300,9 @@ class TxnContext {
   lock::ActorId current_step_type_ = lock::kNoActor;
   lock::KeyList step_keys_;
   std::vector<lock::ItemId> step_writes_;
-  // The table items this transaction holds a conventional lock on, with
-  // the held mode: exact, because only this transaction's own requests and
-  // releases change it. Cleared wherever its conventional locks are
+  // The (shard) table items this transaction holds a conventional lock on,
+  // with the held mode: exact, because only this transaction's own requests
+  // and releases change it. Cleared wherever its conventional locks are
   // released (CompleteStep, RollbackStep, ReleaseLocks).
   std::vector<TableIntent> table_intents_;
   // CompleteStep's mark buffers, reused from step to step.

@@ -8,8 +8,20 @@
 
 namespace accdb::lock {
 
+std::vector<ItemId> ItemId::ShardItems(const storage::Table& table) {
+  std::vector<ItemId> items;
+  items.reserve(table.shards());
+  for (size_t s = 0; s < table.shards(); ++s) {
+    items.push_back(Table(table.id(), s));
+  }
+  return items;
+}
+
 std::string ItemId::ToString() const {
-  if (is_table()) return StrFormat("t%u", table);
+  if (is_table()) {
+    if (shard() == 0) return StrFormat("t%u", table);
+    return StrFormat("t%u/s%zu", table, shard());
+  }
   return StrFormat("t%u/r%llu", table, static_cast<unsigned long long>(row));
 }
 

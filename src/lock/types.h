@@ -38,20 +38,30 @@ using TxnId = uint64_t;
 
 inline constexpr TxnId kInvalidTxn = 0;
 
-// A lockable database item: a row of a table, or the table itself
-// (row == kTableItem) for intention locks and scans.
+// A lockable database item: a row of a table, or a table item for
+// intention locks and scans. Each storage shard of a table has its own
+// table item, {t, storage::MakeRowId(shard, 0)}: sequence 0 is never a row
+// (storage::RowIdSeq starts at 1), and shard 0's item is {t, 0}, so a
+// one-shard table has exactly one table item. The shard items sit between
+// the table and its rows in the lock hierarchy: a row's intent lock goes on
+// its own shard's item, so workers bound to different shards share no
+// table item. A lock that means "the whole table" (an unprefixed scan, an
+// assertion over the table) must be taken on every shard item (ShardItems).
 struct ItemId {
   storage::TableId table = 0;
   storage::RowId row = 0;
 
-  static constexpr storage::RowId kTableItem = 0;
-
-  static ItemId Table(storage::TableId t) { return ItemId{t, kTableItem}; }
+  static ItemId Table(storage::TableId t, size_t shard) {
+    return ItemId{t, storage::MakeRowId(shard, 0)};
+  }
   static ItemId Row(storage::TableId t, storage::RowId r) {
     return ItemId{t, r};
   }
+  // The table item of every shard of `table`, in ascending shard order.
+  static std::vector<ItemId> ShardItems(const storage::Table& table);
 
-  bool is_table() const { return row == kTableItem; }
+  bool is_table() const { return storage::RowIdSeq(row) == 0; }
+  size_t shard() const { return storage::RowIdShard(row); }
 
   friend bool operator==(const ItemId& a, const ItemId& b) {
     return a.table == b.table && a.row == b.row;

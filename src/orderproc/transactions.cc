@@ -167,8 +167,12 @@ acc::AssertionInstance BillTxn::InitialAssertion() const {
   if (order_row.has_value()) {
     items.push_back(lock::ItemId::Row(system_->orders->id(), *order_row));
   }
-  items.push_back(lock::ItemId::Table(system_->orders->id()));
-  items.push_back(lock::ItemId::Table(system_->orderlines->id()));
+  // The table items: I1 ranges over whole tables, so every shard's.
+  for (const storage::Table* table : {system_->orders, system_->orderlines}) {
+    for (const lock::ItemId& item : lock::ItemId::ShardItems(*table)) {
+      items.push_back(item);
+    }
+  }
   return acc::AssertionInstance{system_->assert_i1, {order_id_}, items};
 }
 

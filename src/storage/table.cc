@@ -65,6 +65,28 @@ size_t Table::ShardOfValue(const Value& value) const {
   return static_cast<size_t>(m < 0 ? m + n : m);
 }
 
+size_t Table::ShardOfRow(const Row& row) const {
+  if (shards_.size() == 1) return 0;
+  const auto c = static_cast<size_t>(schema_.key_columns[0]);
+  if (c >= row.size() || row[c].type() != ColumnType::kInt64) return 0;
+  return ShardOfValue(row[c]);
+}
+
+std::optional<size_t> Table::ShardOfPkPrefix(
+    const CompositeKey& prefix) const {
+  if (shards_.size() == 1) return 0;
+  if (prefix.empty()) return std::nullopt;
+  return ShardOfKey(prefix);
+}
+
+std::optional<size_t> Table::ShardOfIndexPrefix(
+    IndexId index, const CompositeKey& prefix) const {
+  assert(index < indexes_.size());
+  if (shards_.size() == 1) return 0;
+  if (!indexes_[index].routable || prefix.empty()) return std::nullopt;
+  return ShardOfKey(prefix);
+}
+
 size_t Table::size() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
@@ -314,9 +336,8 @@ std::optional<RowId> Table::LookupPk(const CompositeKey& key) const {
 std::vector<RowId> Table::ScanPkPrefix(const CompositeKey& prefix) const {
   const std::string encoded = EncodeKey(prefix);
   std::vector<RowId> out;
-  if (!prefix.empty() || shards_.size() == 1) {
-    const Shard& shard =
-        *shards_[prefix.empty() ? 0 : ShardOfKey(prefix)];
+  if (std::optional<size_t> s = ShardOfPkPrefix(prefix)) {
+    const Shard& shard = *shards_[*s];
     std::shared_lock<std::shared_mutex> latch(shard.mu);
     for (auto it = shard.pk_index.lower_bound(encoded);
          it != shard.pk_index.end() && it->first.starts_with(encoded); ++it) {
@@ -339,10 +360,9 @@ std::vector<RowId> Table::ScanPkPrefix(const CompositeKey& prefix) const {
 }
 
 std::optional<RowId> Table::MinPkPrefix(const CompositeKey& prefix) const {
-  if (!prefix.empty() || shards_.size() == 1) {
+  if (std::optional<size_t> s = ShardOfPkPrefix(prefix)) {
     const std::string encoded = EncodeKey(prefix);
-    const Shard& shard =
-        *shards_[prefix.empty() ? 0 : ShardOfKey(prefix)];
+    const Shard& shard = *shards_[*s];
     std::shared_lock<std::shared_mutex> latch(shard.mu);
     auto it = shard.pk_index.lower_bound(encoded);
     if (it == shard.pk_index.end() || !it->first.starts_with(encoded)) {
@@ -379,8 +399,8 @@ std::vector<RowId> Table::LookupIndex(IndexId index,
       out.push_back(IndexEntryId(*it));
     }
   };
-  if (shards_.size() == 1 || indexes_[index].routable) {
-    collect(*shards_[ShardOfKey(key)]);
+  if (std::optional<size_t> s = ShardOfIndexPrefix(index, key)) {
+    collect(*shards_[*s]);
     return out;  // Entries of one key are in RowId order.
   }
   for (const auto& shard : shards_) collect(*shard);
@@ -393,10 +413,8 @@ std::vector<RowId> Table::ScanIndexPrefix(IndexId index,
   assert(index < indexes_.size());
   const std::string encoded = EncodeKey(prefix);
   std::vector<RowId> out;
-  const bool one_shard =
-      shards_.size() == 1 || (indexes_[index].routable && !prefix.empty());
-  if (one_shard) {
-    const Shard& shard = *shards_[prefix.empty() ? 0 : ShardOfKey(prefix)];
+  if (std::optional<size_t> s = ShardOfIndexPrefix(index, prefix)) {
+    const Shard& shard = *shards_[*s];
     std::shared_lock<std::shared_mutex> latch(shard.mu);
     const auto& entries = shard.index_entries[index];
     for (auto it = entries.lower_bound(encoded);

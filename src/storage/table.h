@@ -15,7 +15,11 @@
 // uniform because distinct shards produce distinct RowId bit patterns.
 // Keyed lookups and scans whose key/prefix names the first key column touch
 // exactly one shard; unprefixed scans merge across shards in key order.
-// With S == 1 (the default) ids and behavior are identical to the historical
+// The routing helpers are public because the lock hierarchy follows the
+// shards: the transaction layer takes a statement's table intent lock on the
+// table item of the one shard the statement touches (lock::ItemId::Table),
+// and on every shard's item when it spans them all. With S == 1 (the
+// default) ids, lock items and behavior are identical to the historical
 // unsharded table, which the deterministic simulation golden relies on.
 //
 // The table performs no transactional concurrency control and no logging;
@@ -186,6 +190,23 @@ class Table {
   // (tests / consistency checks only).
   std::vector<RowId> ScanAll() const;
 
+  // --- Routing ---
+
+  // Shard owning the given primary key (or non-empty primary-key prefix).
+  size_t ShardOfKey(const CompositeKey& key) const {
+    return ShardOfValue(key[0]);
+  }
+  // Shard a row to be inserted routes to. A row too malformed to route
+  // (Insert rejects it) maps to shard 0.
+  size_t ShardOfRow(const Row& row) const;
+  // The one shard a primary-key prefix, or a prefix of secondary index
+  // `index`, resolves to; std::nullopt when it spans every shard (an empty
+  // prefix, or an index not led by the routing attribute, of a sharded
+  // table).
+  std::optional<size_t> ShardOfPkPrefix(const CompositeKey& prefix) const;
+  std::optional<size_t> ShardOfIndexPrefix(IndexId index,
+                                           const CompositeKey& prefix) const;
+
  private:
   struct IndexDef {
     std::string name;
@@ -210,11 +231,8 @@ class Table {
     RowId next_seq = 1;
   };
 
-  // Shard owning the given routing-attribute value / primary key.
+  // Shard owning the given routing-attribute value.
   size_t ShardOfValue(const Value& value) const;
-  size_t ShardOfKey(const CompositeKey& key) const {
-    return ShardOfValue(key[0]);
-  }
 
   // Secondary-index entry: the encoded index key, then the id's 8
   // big-endian bytes.

@@ -260,7 +260,7 @@ TEST_F(EngineTest, CompMarkersCoverRowAndTable) {
   // assertional locks at any granularity.
   lock::ItemId row_item =
       lock::ItemId::Row(counter_a_->id(), storage::kVariableRowId);
-  lock::ItemId table_item = lock::ItemId::Table(counter_a_->id());
+  lock::ItemId table_item = lock::ItemId::Table(counter_a_->id(), 0);
   lock::TxnId observed = 0;
   FunctionProgram prog("marks", [&](TxnContext& ctx) {
     observed = ctx.txn_id();

@@ -7,6 +7,7 @@
 #include "lock/lock_manager.h"
 #include "lock/types.h"
 #include "lock/wait_for_graph.h"
+#include "storage/table.h"
 
 namespace accdb::lock {
 namespace {
@@ -643,7 +644,7 @@ TEST_F(LockManagerTest, ReleasingOneInstanceKeepsAnotherOnSharedItems) {
 TEST_F(LockManagerTest, MergedStepEndLeavesMarksAndNoConventionalLock) {
   // One step wrote r1 twice and r2 once, under an IX on their table, and
   // marks r3, which it never locked.
-  const ItemId table = ItemId::Table(1);
+  const ItemId table = ItemId::Table(1, 0);
   const ItemId r1 = ItemId::Row(1, 11);
   const ItemId r2 = ItemId::Row(1, 12);
   const ItemId r3 = ItemId::Row(1, 13);
@@ -774,6 +775,38 @@ TEST(CycleDetectorTest, IgnoresCycleNotThroughStart) {
     return {};
   });
   EXPECT_TRUE(detector.FindCycle(1).empty());
+}
+
+// --- Shard table items ---
+
+TEST_F(LockManagerTest, WholeTableAssertionCoversEveryShard) {
+  storage::Schema schema;
+  schema.columns = {{"w", storage::ColumnType::kInt64},
+                    {"id", storage::ColumnType::kInt64}};
+  schema.key_columns = {0, 1};
+  const storage::Table table(5, "t", schema, /*shards=*/2);
+  const std::vector<ItemId> whole = ItemId::ShardItems(table);
+  EXPECT_EQ(whole, (std::vector<ItemId>{ItemId::Table(5, 0),
+                                        ItemId::Table(5, 1)}));
+
+  // An insert routed to shard 1 takes IX on shard 1's table item.
+  const storage::Row row = {storage::Value(int64_t{1}),
+                            storage::Value(int64_t{9})};
+  ASSERT_EQ(table.ShardOfRow(row), 1u);
+  const ItemId insert_intent = ItemId::Table(table.id(), table.ShardOfRow(row));
+
+  // An A-lock over the whole table holds every shard item, so the
+  // interfering IX waits.
+  for (const ItemId& item : whole) {
+    EXPECT_EQ(Req(1, item, LockMode::kAssert), Outcome::kGranted);
+  }
+  EXPECT_EQ(Req(2, insert_intent, LockMode::kIX), Outcome::kWaiting);
+  EXPECT_EQ(lm_.BlockedBy(2), std::vector<TxnId>{1});
+
+  // Shard 0's item alone would not have covered it.
+  const ItemId other_table_shard0 = ItemId::Table(6, 0);
+  EXPECT_EQ(Req(3, other_table_shard0, LockMode::kAssert), Outcome::kGranted);
+  EXPECT_EQ(Req(4, ItemId::Table(6, 1), LockMode::kIX), Outcome::kGranted);
 }
 
 }  // namespace

@@ -204,7 +204,7 @@ LockManager::Stats RunScriptedScenario(LockManager& lm,
   lm.CancelWaiter(4);
   // A merged step end: b's mark rides b's release, the table's is separate.
   LockManager::StepMarks marks;
-  marks.comp = {b, ItemId::Table(1)};
+  marks.comp = {b, ItemId::Table(1, 0)};
   lm.ReleaseConventional(1, marks);
   lm.ReleaseAll(1);
   lm.ReleaseAll(2);

@@ -70,7 +70,7 @@ TEST_F(TxnContextTest, ReadByKeyTakesSharedLocks) {
     ACCDB_ASSIGN_OR_RETURN(Row row, c.ReadByKey(*rows_, Key(int64_t{3})));
     EXPECT_EQ(row[2].AsInt64(), 300);
     lock::LockManager& lm = engine_->lock_manager();
-    EXPECT_TRUE(lm.Holds(c.txn_id(), lock::ItemId::Table(rows_->id()),
+    EXPECT_TRUE(lm.Holds(c.txn_id(), lock::ItemId::Table(rows_->id(), 0),
                          lock::LockMode::kIS));
     EXPECT_TRUE(lm.Holds(c.txn_id(),
                          lock::ItemId::Row(rows_->id(),
@@ -86,7 +86,7 @@ TEST_F(TxnContextTest, ForUpdateTakesExclusiveLocks) {
     ACCDB_RETURN_IF_ERROR(
         c.ReadByKey(*rows_, Key(int64_t{3}), /*for_update=*/true).status());
     lock::LockManager& lm = engine_->lock_manager();
-    EXPECT_TRUE(lm.Holds(c.txn_id(), lock::ItemId::Table(rows_->id()),
+    EXPECT_TRUE(lm.Holds(c.txn_id(), lock::ItemId::Table(rows_->id(), 0),
                          lock::LockMode::kIX));
     EXPECT_TRUE(lm.Holds(c.txn_id(),
                          lock::ItemId::Row(rows_->id(),
@@ -349,7 +349,7 @@ lock::LockManager::Stats TablePartitionStats(Engine& engine,
                                              const storage::Table& table) {
   const lock::LockManager& lm = engine.lock_manager();
   return lm.PartitionStatsForTest(
-      lm.PartitionIndex(lock::ItemId::Table(table.id())));
+      lm.PartitionIndex(lock::ItemId::Table(table.id(), 0)));
 }
 
 // Takes the table intent (IX when `for_update`, else IS) and no row lock:
@@ -377,7 +377,7 @@ TEST_F(TxnContextTest, CoveredTableIntentSkipsThePartition) {
       EXPECT_EQ(part_after.immediate_grants, part_before.immediate_grants);
       EXPECT_EQ(part_after.upgrades, part_before.upgrades);
     }
-    EXPECT_TRUE(lm.Holds(c.txn_id(), lock::ItemId::Table(rows_->id()),
+    EXPECT_TRUE(lm.Holds(c.txn_id(), lock::ItemId::Table(rows_->id(), 0),
                          lock::LockMode::kIX));
     return Status::Ok();
   });
@@ -471,6 +471,204 @@ TEST_F(TxnContextTest, StatementsChargeServerTime) {
       engine.Execute(prog, env, ExecMode::kAccDecomposed).status.ok());
   // One read statement + ACC overheads (lock ops + step end).
   EXPECT_GT(env.server_seconds(), config.costs.read_statement);
+}
+
+// --- Shard table items ---
+//
+// A table has one table item per storage shard. A statement's intent lock
+// lands on the item of the shard it touches; one that spans every shard
+// locks every shard's item, in ascending order.
+
+TEST(ShardItemTest, ShardZeroIsTheUnshardedTableItem) {
+  EXPECT_EQ(lock::ItemId::Table(7, 0), (lock::ItemId{7, 0}));
+  EXPECT_EQ(lock::ItemId::Table(7, 0).ToString(), "t7");
+  EXPECT_EQ(lock::ItemId::Table(7, 2).ToString(), "t7/s2");
+  EXPECT_NE(lock::ItemId::Table(7, 1), lock::ItemId::Table(7, 2));
+}
+
+TEST(ShardItemTest, IsTableExactlyForShardItems) {
+  for (size_t shard : {size_t{0}, size_t{1}, size_t{2}, size_t{65535}}) {
+    const lock::ItemId item = lock::ItemId::Table(7, shard);
+    EXPECT_TRUE(item.is_table()) << item.ToString();
+    EXPECT_EQ(item.shard(), shard);
+  }
+  for (storage::RowId row : {storage::MakeRowId(0, 1),
+                             storage::MakeRowId(2, 1),
+                             storage::MakeRowId(65535, 12345)}) {
+    EXPECT_FALSE(lock::ItemId::Row(7, row).is_table()) << row;
+  }
+  for (lock::AssertionId decl : {1u, 42u, 0xFFFFFFFFu}) {
+    EXPECT_FALSE(AssertionDeclItem(decl).is_table()) << decl;
+  }
+}
+
+class ShardedTableTest : public TxnContextTest {
+ public:
+  static constexpr size_t kShards = 3;
+
+  // sharded(w, id, group_id), keyed (w, id), routed by w % 3: rows with
+  // w = 0, 1, 2 live in shards 0, 1, 2.
+  ShardedTableTest() {
+    Schema schema;
+    schema.columns = {{"w", ColumnType::kInt64},
+                      {"id", ColumnType::kInt64},
+                      {"group_id", ColumnType::kInt64}};
+    schema.key_columns = {0, 1};
+    sharded_ = db_.CreateTable("sharded", schema, kShards);
+    by_group_id_ = sharded_->AddIndex("by_group", {2});
+    by_w_group_id_ = sharded_->AddIndex("by_w_group", {0, 2});
+    for (int64_t w = 0; w < 3; ++w) {
+      for (int64_t id = 1; id <= 2; ++id) {
+        EXPECT_TRUE(sharded_->Insert({Value(w), Value(id), Value(id)}).ok());
+      }
+    }
+  }
+
+  lock::ItemId ShardItem(size_t shard) const {
+    return lock::ItemId::Table(sharded_->id(), shard);
+  }
+
+  // The shards whose table item `txn` holds in `mode` (or a covering mode).
+  std::vector<size_t> ShardsHeld(lock::TxnId txn, lock::LockMode mode) {
+    std::vector<size_t> out;
+    for (size_t s = 0; s < kShards; ++s) {
+      if (engine_->lock_manager().Holds(txn, ShardItem(s), mode)) {
+        out.push_back(s);
+      }
+    }
+    return out;
+  }
+
+  // Counters of the partition that owns shard `shard`'s table item.
+  lock::LockManager::Stats ShardPartitionStats(size_t shard) const {
+    const lock::LockManager& lm = engine_->lock_manager();
+    return lm.PartitionStatsForTest(lm.PartitionIndex(ShardItem(shard)));
+  }
+
+  // IX on the table item of shard `w % 3` and no row lock: no row has
+  // w >= 3.
+  Status TouchShard(TxnContext& c, int64_t w) {
+    return c.ScanPkPrefix(*sharded_, Key(w), /*for_update=*/true).status();
+  }
+
+  storage::Table* sharded_;
+  storage::IndexId by_group_id_;
+  storage::IndexId by_w_group_id_;
+};
+
+TEST_F(ShardedTableTest, StatementIntentsLandOnTheRowsShardItem) {
+  using V = std::vector<size_t>;
+  Status status = RunBody([&](TxnContext& c) -> Status {
+    ACCDB_RETURN_IF_ERROR(c.ReadByKey(*sharded_, Key(1, 1)).status());
+    EXPECT_EQ(ShardsHeld(c.txn_id(), lock::LockMode::kIS), V{1});
+    EXPECT_EQ(ShardsHeld(c.txn_id(), lock::LockMode::kIX), V{});
+
+    ACCDB_RETURN_IF_ERROR(
+        c.Insert(*sharded_, {Value(int64_t{2}), Value(int64_t{9}),
+                             Value(int64_t{0})})
+            .status());
+    EXPECT_EQ(ShardsHeld(c.txn_id(), lock::LockMode::kIX), V{2});
+
+    const storage::RowId shard0_row = *sharded_->LookupPk(Key(0, 1));
+    ACCDB_RETURN_IF_ERROR(
+        c.Update(*sharded_, shard0_row, {{2, Value(int64_t{5})}}));
+    EXPECT_EQ(ShardsHeld(c.txn_id(), lock::LockMode::kIX), (V{0, 2}));
+
+    const storage::RowId shard1_row = *sharded_->LookupPk(Key(1, 2));
+    ACCDB_RETURN_IF_ERROR(
+        c.ReadById(*sharded_, shard1_row, /*for_update=*/true).status());
+    EXPECT_EQ(ShardsHeld(c.txn_id(), lock::LockMode::kIX), (V{0, 1, 2}));
+    return Status::Ok();
+  });
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
+TEST_F(ShardedTableTest, StepEndMarksTheWrittenRowsShardItem) {
+  const storage::RowId row = *sharded_->LookupPk(Key(2, 1));
+  std::vector<size_t> marked;
+  bool row_marked = false;
+  FunctionProgram prog("two_steps", [&](TxnContext& ctx) -> Status {
+    ACCDB_RETURN_IF_ERROR(ctx.RunStep(
+        step_, {}, AssertionInstance{}, [&](TxnContext& c) {
+          return c.Update(*sharded_, row, {{2, Value(int64_t{7})}});
+        }));
+    return ctx.RunStep(step_, {}, AssertionInstance{}, [&](TxnContext& c) {
+      marked = ShardsHeld(c.txn_id(), lock::LockMode::kComp);
+      row_marked = engine_->lock_manager().Holds(
+          c.txn_id(), lock::ItemId::Row(sharded_->id(), row),
+          lock::LockMode::kComp);
+      return Status::Ok();
+    });
+  });
+  ExecResult result = engine_->Execute(prog, env_, ExecMode::kAccDecomposed);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(marked, std::vector<size_t>{2});
+  EXPECT_TRUE(row_marked);
+}
+
+TEST_F(ShardedTableTest, CoveredMemoAnswersPerShardItem) {
+  lock::LockManager& lm = engine_->lock_manager();
+  Status status = RunBody([&](TxnContext& c) -> Status {
+    ACCDB_RETURN_IF_ERROR(TouchShard(c, 4));  // IX on shard 1.
+
+    // IX on shard 1 does not cover IX on shard 2: the request reaches
+    // shard 2's partition.
+    const uint64_t shard2_before = ShardPartitionStats(2).requests;
+    ACCDB_RETURN_IF_ERROR(TouchShard(c, 5));
+    EXPECT_EQ(ShardPartitionStats(2).requests, shard2_before + 1);
+    EXPECT_TRUE(lm.Holds(c.txn_id(), ShardItem(2), lock::LockMode::kIX));
+
+    // A second IX on shard 1 is covered: counted, but no partition visit.
+    const lock::LockManager::Stats before = lm.StatsSnapshot();
+    const uint64_t shard1_before = ShardPartitionStats(1).requests;
+    ACCDB_RETURN_IF_ERROR(TouchShard(c, 1 + 3 * 5));
+    EXPECT_EQ(lm.StatsSnapshot().requests, before.requests + 1);
+    EXPECT_EQ(ShardPartitionStats(1).requests, shard1_before);
+    EXPECT_FALSE(lm.Holds(c.txn_id(), ShardItem(0), lock::LockMode::kIS));
+    return Status::Ok();
+  });
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
+TEST_F(ShardedTableTest, UnprefixedScansTakeIntentOnEveryShard) {
+  using V = std::vector<size_t>;
+  auto scan_holds = [&](const std::function<Status(TxnContext&)>& scan) {
+    V held;
+    Status status = RunBody([&](TxnContext& c) -> Status {
+      ACCDB_RETURN_IF_ERROR(scan(c));
+      held = ShardsHeld(c.txn_id(), lock::LockMode::kIS);
+      return Status::Ok();
+    });
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    return held;
+  };
+  EXPECT_EQ(scan_holds([&](TxnContext& c) -> Status {
+              ACCDB_ASSIGN_OR_RETURN(auto rows, c.ScanPkPrefix(*sharded_, {}));
+              EXPECT_EQ(rows.size(), 6u);
+              return Status::Ok();
+            }),
+            (V{0, 1, 2}));
+  EXPECT_EQ(scan_holds([&](TxnContext& c) {
+              return c.MinPkPrefix(*sharded_, {}).status();
+            }),
+            (V{0, 1, 2}));
+  // An index not led by the routing column spans every shard, whatever
+  // the prefix; one led by it resolves a non-empty prefix to one shard.
+  EXPECT_EQ(scan_holds([&](TxnContext& c) {
+              return c.ScanIndexPrefix(*sharded_, by_group_id_,
+                                       Key(int64_t{1}))
+                  .status();
+            }),
+            (V{0, 1, 2}));
+  EXPECT_EQ(scan_holds([&](TxnContext& c) {
+              return c.ScanIndexPrefix(*sharded_, by_w_group_id_, Key(1, 1))
+                  .status();
+            }),
+            V{1});
+  EXPECT_EQ(scan_holds([&](TxnContext& c) {
+              return c.ScanPkPrefix(*sharded_, Key(int64_t{2})).status();
+            }),
+            V{2});
 }
 
 }  // namespace
