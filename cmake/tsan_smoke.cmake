@@ -16,14 +16,15 @@
 # ordered delivery, the eventfd Defer/Wake handoffs, the bounded request
 # queue, worker-pool deadlines, the open-loop client, graceful drain, and
 # the WAL (wal_test, wal_recovery_test): concurrent Append/WaitDurable
-# committers against the group-commit flusher thread.
+# committers against the group-commit flusher thread, and storage_test's
+# latch-free reads of a table frozen while its loader still inserts.
 
 if(NOT DEFINED SOURCE_DIR OR NOT DEFINED BUILD_DIR)
   message(FATAL_ERROR "usage: cmake -DSOURCE_DIR=... -DBUILD_DIR=... -P tsan_smoke.cmake")
 endif()
 
 set(SMOKE_TESTS runtime_test rt_multiwh_test lock_mt_stress_test
-    cc_backend_test net_server_test wal_test wal_recovery_test)
+    cc_backend_test net_server_test wal_test wal_recovery_test storage_test)
 
 include(ProcessorCount)
 ProcessorCount(NPROC)

@@ -154,18 +154,45 @@ Status TxnContext::LockTableForStatement(const storage::Table& table,
   const lock::LockMode mode =
       for_update ? lock::LockMode::kIX : lock::LockMode::kIS;
   if (shard.has_value()) {
-    return AcquireLock(lock::ItemId::Table(table.id(), *shard), mode);
+    return AcquireStatementLock(
+        table, lock::ItemId::Table(table.id(), *shard), mode);
   }
   for (const lock::ItemId& item : lock::ItemId::ShardItems(table)) {
-    ACCDB_RETURN_IF_ERROR(AcquireLock(item, mode));
+    ACCDB_RETURN_IF_ERROR(AcquireStatementLock(table, item, mode));
   }
   return Status::Ok();
 }
 
 Status TxnContext::LockRowForStatement(const storage::Table& table,
                                        storage::RowId id, bool for_update) {
-  return AcquireLock(lock::ItemId::Row(table.id(), id),
-                     for_update ? lock::LockMode::kX : lock::LockMode::kS);
+  return AcquireStatementLock(
+      table, lock::ItemId::Row(table.id(), id),
+      for_update ? lock::LockMode::kX : lock::LockMode::kS);
+}
+
+Status TxnContext::AcquireStatementLock(const storage::Table& table,
+                                        lock::ItemId item,
+                                        lock::LockMode mode) {
+  if (!table.frozen()) return AcquireLock(item, mode);
+  if (mode != lock::LockMode::kIS && mode != lock::LockMode::kS) {
+    return table.CheckWritable();
+  }
+  // IS and S conflict only with IX/SIX/X, and (for an unanalyzed requester)
+  // with kComp; every one of those comes from a write, and a frozen table
+  // refuses writes before they lock. So the lock manager would grant this
+  // at once: answer it here, counted the same.
+  lock::LockManager& lm = engine_->lock_manager();
+#ifdef ACCDB_EXPENSIVE_CHECKS
+  if (lm.HolderCount(item) != 0) {
+    std::fprintf(stderr, "txn %llu: frozen %s holds %zu lock(s) on %s\n",
+                 static_cast<unsigned long long>(txn_), table.name().c_str(),
+                 lm.HolderCount(item), item.ToString().c_str());
+    std::abort();
+  }
+#endif
+  ++pending_lock_ops_;
+  lm.RecordCoveredRequest(txn_);
+  return Status::Ok();
 }
 
 Result<std::vector<std::pair<storage::RowId, storage::Row>>>
@@ -284,6 +311,7 @@ TxnContext::ScanIndexPrefix(const storage::Table& table,
 
 Result<storage::RowId> TxnContext::Insert(storage::Table& table,
                                           storage::Row row) {
+  ACCDB_RETURN_IF_ERROR(table.CheckWritable());
   if (lock_free_ != nullptr) {
     // OCC buffers the row under a virtual RowId; the real id is assigned
     // when the insert applies at commit.
@@ -329,6 +357,7 @@ Result<storage::RowId> TxnContext::Insert(storage::Table& table,
 Status TxnContext::Update(
     storage::Table& table, storage::RowId id,
     const std::vector<std::pair<int, storage::Value>>& updates) {
+  ACCDB_RETURN_IF_ERROR(table.CheckWritable());
   if (lock_free_ != nullptr) {
     return ChargeLockFreeWrite(lock_free_->Update(table, id, updates));
   }
@@ -341,6 +370,7 @@ Status TxnContext::Update(
 }
 
 Status TxnContext::Delete(storage::Table& table, storage::RowId id) {
+  ACCDB_RETURN_IF_ERROR(table.CheckWritable());
   if (lock_free_ != nullptr) {
     return ChargeLockFreeWrite(lock_free_->Delete(table, id));
   }

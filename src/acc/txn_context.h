@@ -8,6 +8,9 @@
 //     rows, as production systems do);
 //   * writes take IX table locks and X row locks, record before-images in
 //     the step/transaction undo log, and are tracked in the step write set;
+//   * a frozen (read-only) table takes no locks: its reads are answered
+//     without the lock manager, and its writes and for_update reads fail
+//     with kFailedPrecondition before any lock is requested;
 //   * a "table lock" goes on the table item of the storage shard the
 //     statement touches (lock::ItemId::Table): the row's shard for keyed and
 //     id-addressed access and inserts, the prefix's shard for routable
@@ -192,11 +195,20 @@ class TxnContext {
   Status AwaitTimed(lock::LockMode mode);
 
   // The read paths' locks: IS/IX on the table item of `shard`, or of every
-  // shard when it is std::nullopt; S/X on a row.
+  // shard when it is std::nullopt; S/X on a row. Both go through
+  // AcquireStatementLock.
   Status LockTableForStatement(const storage::Table& table,
                                std::optional<size_t> shard, bool for_update);
   Status LockRowForStatement(const storage::Table& table, storage::RowId id,
                              bool for_update);
+  // A read statement's request of `mode` on `item` of `table`. On a frozen
+  // table an IS/S request is answered here without the lock manager, and
+  // counted like the immediate grant it would have been: no transaction
+  // can write a frozen table, so no conflicting mode is ever held or queued
+  // on its items. An IX/X request there is refused (kFailedPrecondition)
+  // before any lock is taken.
+  Status AcquireStatementLock(const storage::Table& table, lock::ItemId item,
+                              lock::LockMode mode);
   // Locks and copies each of `ids` that is still live, then charges the
   // statement (the scans' locking path).
   Result<std::vector<std::pair<storage::RowId, storage::Row>>>

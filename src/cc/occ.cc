@@ -33,8 +33,9 @@ Status ApplyToImage(storage::Row& row,
 
 }  // namespace
 
-void OccBuffer::RecordRead(const lock::ItemId& item) {
-  if (reads_.find(item) != reads_.end()) return;
+void OccBuffer::RecordRead(const storage::Table& table,
+                           const lock::ItemId& item) {
+  if (table.frozen() || reads_.find(item) != reads_.end()) return;
   reads_.emplace(item, versions_->Version(item));
 }
 
@@ -92,7 +93,7 @@ Result<storage::Row> OccBuffer::ReadByKey(const storage::Table& table,
       }
       return w->after;
     }
-    RecordRead(item);
+    RecordRead(table, item);
     std::optional<storage::Row> copy = table.GetCopy(*id);
     if (copy.has_value()) return *std::move(copy);
   }
@@ -113,7 +114,7 @@ Result<storage::Row> OccBuffer::ReadById(const storage::Table& table,
     }
     return w->after;
   }
-  RecordRead(item);
+  RecordRead(table, item);
   std::optional<storage::Row> copy = table.GetCopy(id);
   if (!copy.has_value()) return Status::NotFound(table.name() + " row");
   return *std::move(copy);
@@ -136,7 +137,7 @@ OccBuffer::ScanPkPrefix(const storage::Table& table,
                              std::make_pair(id, w->after));
       continue;
     }
-    RecordRead(item);
+    RecordRead(table, item);
     std::optional<storage::Row> copy = table.GetCopy(id);
     if (!copy.has_value()) continue;  // Deleted since the index walk.
     // Key first: emplace arguments are unsequenced relative to the move.
@@ -198,7 +199,7 @@ OccBuffer::MinPkPrefix(const storage::Table& table,
             storage::EncodeKeyColumns(w->after, table.schema().key_columns),
             std::make_pair(*id, w->after));
       } else {
-        RecordRead(item);
+        RecordRead(table, item);
         std::optional<storage::Row> copy = table.GetCopy(*id);
         if (!copy.has_value()) continue;  // Raced a committed delete; retry.
         std::string row_key =
@@ -245,7 +246,7 @@ OccBuffer::ScanIndexPrefix(const storage::Table& table,
                              std::make_pair(id, w->after));
       continue;
     }
-    RecordRead(item);
+    RecordRead(table, item);
     std::optional<storage::Row> copy = table.GetCopy(id);
     if (!copy.has_value()) continue;
     std::string ikey = storage::EncodeKeyColumns(*copy, index_columns);
@@ -333,7 +334,7 @@ Status OccBuffer::Update(
     w.columns.insert(w.columns.end(), updates.begin(), updates.end());
     return Status::Ok();
   }
-  RecordRead(item);
+  RecordRead(table, item);
   std::optional<storage::Row> copy = table.GetCopy(id);
   if (!copy.has_value()) return Status::NotFound(table.name() + " row");
   Write w;
@@ -366,7 +367,7 @@ Status OccBuffer::Delete(storage::Table& table, storage::RowId id) {
     w.columns.clear();
     return Status::Ok();
   }
-  RecordRead(item);
+  RecordRead(table, item);
   std::optional<storage::Row> copy = table.GetCopy(id);
   if (!copy.has_value()) return Status::NotFound(table.name() + " row");
   Write w;

@@ -177,9 +177,11 @@ class OccBuffer : public LockFreeAccess {
     storage::CompositeKey key;
   };
 
-  // Records the committed version of `item` the first time it is observed.
-  // Must be called BEFORE the row copy is taken (see file comment).
-  void RecordRead(const lock::ItemId& item);
+  // Records the committed version of `item`, a row of `table`, the first
+  // time it is observed. Must be called BEFORE the row copy is taken (see
+  // file comment). A frozen table's rows are skipped: no commit can bump
+  // their version, so they could never fail validation.
+  void RecordRead(const storage::Table& table, const lock::ItemId& item);
 
   // True while every version in the read set is still current.
   bool ReadSetCurrent() const;

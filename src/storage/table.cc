@@ -87,10 +87,28 @@ std::optional<size_t> Table::ShardOfIndexPrefix(
   return ShardOfKey(prefix);
 }
 
+void Table::Freeze() {
+  std::vector<std::unique_lock<std::shared_mutex>> latches;
+  latches.reserve(shards_.size());
+  for (auto& shard : shards_) latches.emplace_back(shard->mu);
+  frozen_.store(true, std::memory_order_release);
+}
+
+Status Table::CheckWritable() const {
+  if (!frozen()) return Status::Ok();
+  return Status::FailedPrecondition(name_ + " is read-only");
+}
+
+std::shared_lock<std::shared_mutex> Table::ReadLatch(
+    const Shard& shard) const {
+  if (frozen()) return {};
+  return std::shared_lock<std::shared_mutex>(shard.mu);
+}
+
 size_t Table::size() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
-    std::shared_lock<std::shared_mutex> latch(shard->mu);
+    std::shared_lock<std::shared_mutex> latch = ReadLatch(*shard);
     total += shard->rows.size();
   }
   return total;
@@ -168,6 +186,7 @@ Result<RowId> Table::Insert(const Row& row,
   const size_t s = ShardOfValue(row[schema_.key_columns[0]]);
   Shard& shard = *shards_[s];
   std::unique_lock<std::shared_mutex> latch(shard.mu);
+  ACCDB_RETURN_IF_ERROR(CheckWritable());
   auto [slot, inserted] = shard.pk_index.try_emplace(
       EncodeKeyColumns(row, schema_.key_columns), kInvalidRowId);
   if (!inserted) {
@@ -195,6 +214,7 @@ Status Table::InsertWithId(RowId id, const Row& row) {
   }
   Shard& shard = *shards_[s];
   std::unique_lock<std::shared_mutex> latch(shard.mu);
+  ACCDB_RETURN_IF_ERROR(CheckWritable());
   if (shard.rows.contains(id)) {
     return Status::AlreadyExists(StrFormat("row id %llu live",
                                            static_cast<unsigned long long>(id)));
@@ -215,7 +235,7 @@ const Row* Table::Get(RowId id) const {
   const size_t s = RowIdShard(id);
   if (s >= shards_.size()) return nullptr;
   const Shard& shard = *shards_[s];
-  std::shared_lock<std::shared_mutex> latch(shard.mu);
+  std::shared_lock<std::shared_mutex> latch = ReadLatch(shard);
   auto it = shard.rows.find(id);
   return it == shard.rows.end() ? nullptr : &it->second;
 }
@@ -224,7 +244,7 @@ std::optional<Row> Table::GetCopy(RowId id) const {
   const size_t s = RowIdShard(id);
   if (s >= shards_.size()) return std::nullopt;
   const Shard& shard = *shards_[s];
-  std::shared_lock<std::shared_mutex> latch(shard.mu);
+  std::shared_lock<std::shared_mutex> latch = ReadLatch(shard);
   auto it = shard.rows.find(id);
   if (it == shard.rows.end()) return std::nullopt;
   return it->second;
@@ -238,6 +258,7 @@ Status Table::Update(RowId id, const Row& row) {
   }
   Shard& shard = *shards_[s];
   std::unique_lock<std::shared_mutex> latch(shard.mu);
+  ACCDB_RETURN_IF_ERROR(CheckWritable());
   auto it = shard.rows.find(id);
   if (it == shard.rows.end()) {
     return Status::NotFound(StrFormat("row id %llu",
@@ -263,6 +284,7 @@ Status Table::UpdateColumns(
   }
   Shard& shard = *shards_[s];
   std::unique_lock<std::shared_mutex> latch(shard.mu);
+  ACCDB_RETURN_IF_ERROR(CheckWritable());
   auto it = shard.rows.find(id);
   if (it == shard.rows.end()) {
     return Status::NotFound(StrFormat("row id %llu",
@@ -312,6 +334,7 @@ Status Table::Delete(RowId id) {
   }
   Shard& shard = *shards_[s];
   std::unique_lock<std::shared_mutex> latch(shard.mu);
+  ACCDB_RETURN_IF_ERROR(CheckWritable());
   auto it = shard.rows.find(id);
   if (it == shard.rows.end()) {
     return Status::NotFound(StrFormat("row id %llu",
@@ -326,7 +349,7 @@ Status Table::Delete(RowId id) {
 std::optional<RowId> Table::LookupPk(const CompositeKey& key) const {
   const std::string encoded = EncodeKey(key);
   const Shard& shard = *shards_[ShardOfKey(key)];
-  std::shared_lock<std::shared_mutex> latch(shard.mu);
+  std::shared_lock<std::shared_mutex> latch = ReadLatch(shard);
   auto it = shard.pk_index.find(encoded);
   if (it == shard.pk_index.end()) return std::nullopt;
   return it->second;
@@ -338,7 +361,7 @@ std::vector<RowId> Table::ScanPkPrefix(const CompositeKey& prefix) const {
   std::vector<RowId> out;
   if (std::optional<size_t> s = ShardOfPkPrefix(prefix)) {
     const Shard& shard = *shards_[*s];
-    std::shared_lock<std::shared_mutex> latch(shard.mu);
+    std::shared_lock<std::shared_mutex> latch = ReadLatch(shard);
     for (auto it = shard.pk_index.lower_bound(encoded);
          it != shard.pk_index.end() && it->first.starts_with(encoded); ++it) {
       out.push_back(it->second);
@@ -349,7 +372,7 @@ std::vector<RowId> Table::ScanPkPrefix(const CompositeKey& prefix) const {
   // time), then merge into global key order.
   std::vector<std::pair<std::string, RowId>> merged;
   for (const auto& shard : shards_) {
-    std::shared_lock<std::shared_mutex> latch(shard->mu);
+    std::shared_lock<std::shared_mutex> latch = ReadLatch(*shard);
     merged.insert(merged.end(), shard->pk_index.begin(),
                   shard->pk_index.end());
   }
@@ -363,7 +386,7 @@ std::optional<RowId> Table::MinPkPrefix(const CompositeKey& prefix) const {
   if (std::optional<size_t> s = ShardOfPkPrefix(prefix)) {
     const std::string encoded = EncodeKey(prefix);
     const Shard& shard = *shards_[*s];
-    std::shared_lock<std::shared_mutex> latch(shard.mu);
+    std::shared_lock<std::shared_mutex> latch = ReadLatch(shard);
     auto it = shard.pk_index.lower_bound(encoded);
     if (it == shard.pk_index.end() || !it->first.starts_with(encoded)) {
       return std::nullopt;
@@ -373,7 +396,7 @@ std::optional<RowId> Table::MinPkPrefix(const CompositeKey& prefix) const {
   std::optional<RowId> best;
   std::string best_key;
   for (const auto& shard : shards_) {
-    std::shared_lock<std::shared_mutex> latch(shard->mu);
+    std::shared_lock<std::shared_mutex> latch = ReadLatch(*shard);
     auto it = shard->pk_index.begin();
     if (it == shard->pk_index.end()) continue;
     if (!best.has_value() || it->first < best_key) {
@@ -392,7 +415,7 @@ std::vector<RowId> Table::LookupIndex(IndexId index,
   if (key.size() != indexes_[index].columns.size()) return out;
   const std::string encoded = EncodeKey(key);
   auto collect = [&](const Shard& shard) {
-    std::shared_lock<std::shared_mutex> latch(shard.mu);
+    std::shared_lock<std::shared_mutex> latch = ReadLatch(shard);
     const auto& entries = shard.index_entries[index];
     for (auto it = entries.lower_bound(encoded);
          it != entries.end() && it->starts_with(encoded); ++it) {
@@ -415,7 +438,7 @@ std::vector<RowId> Table::ScanIndexPrefix(IndexId index,
   std::vector<RowId> out;
   if (std::optional<size_t> s = ShardOfIndexPrefix(index, prefix)) {
     const Shard& shard = *shards_[*s];
-    std::shared_lock<std::shared_mutex> latch(shard.mu);
+    std::shared_lock<std::shared_mutex> latch = ReadLatch(shard);
     const auto& entries = shard.index_entries[index];
     for (auto it = entries.lower_bound(encoded);
          it != entries.end() && it->starts_with(encoded); ++it) {
@@ -427,7 +450,7 @@ std::vector<RowId> Table::ScanIndexPrefix(IndexId index,
   // by index key and then by RowId, whatever the shard count.
   std::vector<std::string> merged;
   for (const auto& shard : shards_) {
-    std::shared_lock<std::shared_mutex> latch(shard->mu);
+    std::shared_lock<std::shared_mutex> latch = ReadLatch(*shard);
     const auto& entries = shard->index_entries[index];
     for (auto it = entries.lower_bound(encoded);
          it != entries.end() && it->starts_with(encoded); ++it) {
@@ -443,7 +466,7 @@ std::vector<RowId> Table::ScanIndexPrefix(IndexId index,
 std::vector<RowId> Table::ScanAll() const {
   std::vector<RowId> out;
   for (const auto& shard : shards_) {
-    std::shared_lock<std::shared_mutex> latch(shard->mu);
+    std::shared_lock<std::shared_mutex> latch = ReadLatch(*shard);
     out.reserve(out.size() + shard->rows.size());
     for (const auto& [id, row] : shard->rows) out.push_back(id);
   }

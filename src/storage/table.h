@@ -29,7 +29,12 @@
 // runs both under the simulation kernel (one active process at a time — the
 // latch is uncontended and changes nothing) and under the real-thread
 // runtime (src/runtime), where OS workers operate in parallel and workers
-// bound to different warehouses never touch the same latch.
+// bound to different warehouses never touch the same latch. A table that
+// no transaction writes (TPC-C's ITEM) is frozen once it is loaded
+// (Freeze): from then on every mutator fails with kFailedPrecondition and
+// readers take no latch at all, since there is no writer to exclude. The
+// flag is set under every shard's exclusive latch, so a writer that got in
+// first has finished before any reader skips the latch.
 //
 // Row contents returned by Get() are protected by the caller's row locks,
 // not by the latch: unordered_map guarantees reference stability, so a Row*
@@ -49,6 +54,7 @@
 #ifndef ACCDB_STORAGE_TABLE_H_
 #define ACCDB_STORAGE_TABLE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -123,6 +129,17 @@ class Table {
   const Schema& schema() const { return schema_; }
   size_t shards() const { return shards_.size(); }
   size_t size() const;
+
+  // Makes the table read-only for the rest of its life: every later
+  // Insert, InsertWithId, Update, UpdateColumns and Delete fails with
+  // kFailedPrecondition, and readers stop taking the shard latches. The
+  // transaction layer relies on it too: nothing can hold a write lock on a
+  // frozen table, so its read locks are answered without the lock manager.
+  void Freeze();
+  bool frozen() const { return frozen_.load(std::memory_order_acquire); }
+  // kFailedPrecondition once the table is frozen: what every mutator then
+  // returns (it checks under its shard's exclusive latch).
+  Status CheckWritable() const;
 
   // Adds an ordered secondary index over the given column positions.
   // Must be called before rows are inserted (asserted).
@@ -219,8 +236,8 @@ class Table {
   // One data shard: rows, pk index and per-index entry maps, owned by `mu`.
   // Latch ordering: the transaction layer may request locks from inside
   // `before_publish` (shard latch -> lock-manager latch); the lock manager
-  // never calls back into storage, so no cycle exists. No operation holds
-  // two shard latches at once.
+  // never calls back into storage, so no cycle exists. Only Freeze holds
+  // two shard latches at once, taking them in shard order.
   struct Shard {
     mutable std::shared_mutex mu;
     std::unordered_map<RowId, Row> rows;
@@ -242,6 +259,9 @@ class Table {
   void IndexErase(Shard& shard, RowId id, const Row& row);
   // kInvalidArgument if a key or indexed column of `row` holds NaN.
   Status CheckKeyable(const Row& row) const;
+  // The readers' latch on `shard`: shared, or none once the table is
+  // frozen.
+  std::shared_lock<std::shared_mutex> ReadLatch(const Shard& shard) const;
 
   const TableId id_;
   const std::string name_;
@@ -251,6 +271,7 @@ class Table {
   // Double-typed primary-key and secondary-index columns (NaN-checked).
   std::vector<int> double_key_columns_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::atomic<bool> frozen_{false};
 };
 
 }  // namespace accdb::storage

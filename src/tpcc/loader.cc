@@ -40,6 +40,8 @@ void LoadDatabase(TpccDb& db, const ScaleConfig& scale, uint64_t seed) {
                 Value(Money::FromCents(rng.UniformInt(100, 10000))),
                 Value(rng.AlnumString(26, 50))});
   }
+  // No transaction writes ITEM: reads of it need no lock and no latch.
+  db.item->Freeze();
 
   for (int64_t w = 1; w <= scale.warehouses; ++w) {
     MustInsert(db.warehouse,

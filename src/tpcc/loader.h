@@ -17,7 +17,8 @@ std::string CustomerLastName(int64_t number);
 
 // Populates `db` deterministically from `seed`. Initial orders are loaded
 // delivered (carrier set, lines stamped) so that the database starts in a
-// state satisfying every consistency condition.
+// state satisfying every consistency condition. ITEM, which no transaction
+// writes, is frozen once loaded (storage::Table::Freeze).
 void LoadDatabase(TpccDb& db, const ScaleConfig& scale, uint64_t seed);
 
 }  // namespace accdb::tpcc

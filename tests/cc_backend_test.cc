@@ -133,6 +133,43 @@ TEST_F(CcBackendTest, OccReadsItsOwnBufferedInsertsAndUpdates) {
   EXPECT_TRUE(kv_->LookupPk(Key(2)).has_value());
 }
 
+TEST_F(CcBackendTest, OccReadsOfAFrozenTableStayOutOfTheReadSet) {
+  for (int64_t k = 1; k <= 3; ++k) {
+    ASSERT_TRUE(kv_->Insert({Value(k), Value(k * 10)}).ok());
+  }
+  kv_->Freeze();
+  const storage::RowId id2 = *kv_->LookupPk(Key(2));
+  // No commit can bump a frozen row's version: no read-set entry.
+  cc::OccBuffer buffer(&engine_->occ_versions());
+  ASSERT_TRUE(buffer.ReadByKey(*kv_, Key(1), nullptr).ok());
+  ASSERT_TRUE(buffer.ReadById(*kv_, id2).ok());
+  Result<std::vector<cc::LockFreeAccess::RowPair>> all =
+      buffer.ScanPkPrefix(*kv_, Key());
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->size(), 3u);
+  ASSERT_TRUE(buffer.MinPkPrefix(*kv_, Key()).ok());
+  EXPECT_EQ(buffer.read_set_size(), 0u);
+  ASSERT_TRUE(buffer.ReadById(*counter_a_, storage::kVariableRowId).ok());
+  EXPECT_EQ(buffer.read_set_size(), 1u);
+
+  // A transaction that reads the frozen table commits on its first try;
+  // its write to it is refused at the statement.
+  ExecResult result =
+      Run(ExecMode::kOptimistic, env_, /*read_only=*/false,
+          [&](TxnContext& c) -> Status {
+            ACCDB_ASSIGN_OR_RETURN(Row row, c.ReadByKey(*kv_, Key(2)));
+            EXPECT_EQ(c.Update(*kv_, id2, {{1, Value(int64_t{0})}}).code(),
+                      StatusCode::kFailedPrecondition);
+            ACCDB_ASSIGN_OR_RETURN(int64_t v,
+                                   c.ReadVariable(*counter_a_, true));
+            return c.WriteVariable(*counter_a_, v + row[1].AsInt64());
+          });
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.txn_restarts, 0);
+  EXPECT_EQ(ReadCounter(counter_a_), 20);
+  EXPECT_EQ((*kv_->GetCopy(id2))[1].AsInt64(), 20);
+}
+
 TEST_F(CcBackendTest, OccValidationFailureRestartsTransaction) {
   int attempts = 0;
   ExecResult result = Run(

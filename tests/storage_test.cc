@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -532,6 +534,143 @@ TEST(ShardedTableTest, ConcurrentInsertsAcrossShards) {
     EXPECT_EQ(t.ScanPkPrefix(Key(w)).size(),
               static_cast<size_t>(kRowsPerShard));
   }
+}
+
+// --- Frozen (read-only) tables ---
+
+// Every read primitive's answer over `t`, for before/after comparisons.
+std::pair<std::vector<std::vector<RowId>>, std::vector<Row>> ReadEverything(
+    const Table& t, IndexId index) {
+  std::vector<std::vector<RowId>> ids = {
+      t.ScanAll(), t.ScanPkPrefix({}), t.ScanPkPrefix(Key(2)),
+      t.LookupIndex(index, Key(1)), t.ScanIndexPrefix(index, {})};
+  std::vector<RowId> points;
+  for (int a = 1; a <= 4; ++a) {
+    for (int b = 1; b <= 2; ++b) {
+      points.push_back(t.LookupPk(Key(a, b)).value_or(kInvalidRowId));
+    }
+  }
+  points.push_back(t.MinPkPrefix({}).value_or(kInvalidRowId));
+  points.push_back(t.MinPkPrefix(Key(3)).value_or(kInvalidRowId));
+  points.push_back(t.size());
+  ids.push_back(points);
+  std::vector<Row> rows;
+  for (RowId id : t.ScanAll()) {
+    rows.push_back(*t.Get(id));
+    rows.push_back(*t.GetCopy(id));
+  }
+  return {ids, rows};
+}
+
+TEST(FrozenTableTest, MutatorsFailAndReadsAreUnchanged) {
+  Table t(0, "t", CompositeSchema(), /*shards=*/2);
+  const IndexId by_b = t.AddIndex("by_b", {1});
+  for (int a = 1; a <= 4; ++a) {
+    for (int b = 1; b <= 2; ++b) {
+      ASSERT_TRUE(t.Insert({Value(a), Value(b), Value(a * 10 + b)}).ok());
+    }
+  }
+  // A deleted row, for InsertWithId to try to restore.
+  const RowId dead = *t.LookupPk(Key(3, 2));
+  const Row dead_row = *t.Get(dead);
+  ASSERT_TRUE(t.Delete(dead).ok());
+  const RowId live = *t.LookupPk(Key(2, 1));
+  const auto before = ReadEverything(t, by_b);
+
+  EXPECT_FALSE(t.frozen());
+  t.Freeze();
+  EXPECT_TRUE(t.frozen());
+  EXPECT_EQ(t.Insert({Value(9), Value(1), Value(0)}).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(t.Insert({Value(9), Value(1), Value(0)},
+                     [](RowId) { ADD_FAILURE() << "published"; })
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(t.InsertWithId(dead, dead_row).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(t.Update(live, {Value(2), Value(1), Value(0)}).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(t.UpdateColumns(live, {{2, Value(0)}}).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(t.UpdateColumns(live, {{1, Value(7)}}).code(),  // Indexed.
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(t.Delete(live).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(t.CheckWritable().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(ReadEverything(t, by_b) == before);
+}
+
+// Readers of a table that is frozen while they run, and while a loader
+// still inserts into it, next to writers of another table of the same
+// database. Under ThreadSanitizer this checks that the latch-free reads
+// after Freeze are ordered after the loader's last insert.
+TEST(FrozenTableTest, LatchFreeReadsBesideWritersOfAnotherTable) {
+  constexpr int kItems = 200;
+  constexpr int kReaders = 4;
+  constexpr int kWriters = 2;
+  constexpr int kWriterRows = 400;
+  Database db;
+  Table* items = db.CreateTable("items", TwoColSchema());
+  Table* hot = db.CreateTable("hot", CompositeSchema(), /*shards=*/kWriters);
+  for (int i = 1; i <= kItems; ++i) {
+    ASSERT_TRUE(items->Insert({Value(i), Value("item-" + std::to_string(i))})
+                    .ok());
+  }
+  std::atomic<int> loaded{kItems};
+  std::atomic<bool> loader_stopped{false};
+  std::vector<std::thread> threads;
+  // The loader appends until the freeze refuses it.
+  threads.emplace_back([&] {
+    for (int i = kItems + 1;; ++i) {
+      Result<RowId> id = items->Insert({Value(i), Value("late")});
+      if (!id.ok()) {
+        EXPECT_EQ(id.status().code(), StatusCode::kFailedPrecondition);
+        loader_stopped.store(true);
+        return;
+      }
+      loaded.store(i, std::memory_order_release);
+    }
+  });
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      // Reads until 2000 of them have come after the freeze.
+      for (int n = 0, after_freeze = 0; after_freeze < 2000; ++n) {
+        if (items->frozen()) ++after_freeze;
+        const int key = (n * 7 + r) % kItems + 1;
+        std::optional<RowId> id = items->LookupPk(Key(key));
+        ASSERT_TRUE(id.has_value());
+        const Row* row = items->Get(*id);
+        ASSERT_NE(row, nullptr);
+        EXPECT_EQ((*row)[1].AsString(), "item-" + std::to_string(key));
+        std::optional<Row> copy = items->GetCopy(*id);
+        ASSERT_TRUE(copy.has_value());
+        EXPECT_TRUE(*copy == *row);
+      }
+    });
+  }
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([hot, w] {
+      for (int b = 1; b <= kWriterRows; ++b) {
+        Result<RowId> id = hot->Insert({Value(w), Value(b), Value(b)});
+        ASSERT_TRUE(id.ok());
+        ASSERT_TRUE(hot->UpdateColumns(*id, {{2, Value(-b)}}).ok());
+        ASSERT_TRUE(hot->Update(*id, {Value(w), Value(b), Value(b)}).ok());
+        if (b % 2 == 0) {
+          ASSERT_TRUE(hot->Delete(*id).ok());
+        }
+      }
+    });
+  }
+  while (loaded.load(std::memory_order_acquire) < kItems + 50 &&
+         !loader_stopped.load()) {
+    std::this_thread::yield();
+  }
+  items->Freeze();
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_TRUE(items->frozen());
+  EXPECT_EQ(items->size(), static_cast<size_t>(loaded.load()));
+  EXPECT_EQ(hot->size(), static_cast<size_t>(kWriters * kWriterRows / 2));
+  EXPECT_FALSE(hot->frozen());
 }
 
 // --- Indexes vs. a brute-force reference ---

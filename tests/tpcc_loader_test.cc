@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "common/money.h"
 #include "storage/database.h"
 #include "tpcc/consistency.h"
 #include "tpcc/input.h"
@@ -40,6 +41,20 @@ TEST_F(LoadedDbTest, Cardinalities) {
   EXPECT_EQ(db_.orders->size(),
             static_cast<size_t>(10 * scale_.initial_orders_per_district));
   EXPECT_EQ(db_.new_order->size(), 0u);  // Loaded fully delivered.
+}
+
+TEST_F(LoadedDbTest, OnlyItemIsFrozen) {
+  // ITEM is the one table no transaction writes.
+  for (const storage::Table* table : database_.AllTables()) {
+    EXPECT_EQ(table->frozen(), table == db_.item) << table->name();
+  }
+  EXPECT_EQ(db_.item->Insert({storage::Value(int64_t{0}),
+                              storage::Value(int64_t{1}),
+                              storage::Value("x"), storage::Value(Money()),
+                              storage::Value("x")})
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST_F(LoadedDbTest, FreshDatabaseIsStrictlyConsistent) {

@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "acc/catalog.h"
 #include "acc/conflict_resolver.h"
@@ -46,12 +47,14 @@ class TxnContextTest : public ::testing::Test {
     engine_ = std::make_unique<Engine>(&db_, &resolver_, config);
   }
 
-  // Runs `body` as a single ACC step and returns its status.
-  Status RunBody(const std::function<Status(TxnContext&)>& body) {
+  // Runs `body` as a single step (an ACC step by default) and returns its
+  // status.
+  Status RunBody(const std::function<Status(TxnContext&)>& body,
+                 ExecMode mode = ExecMode::kAccDecomposed) {
     FunctionProgram prog("test", [&](TxnContext& ctx) {
       return ctx.RunStep(step_, {}, AssertionInstance{}, body);
     });
-    return engine_->Execute(prog, env_, ExecMode::kAccDecomposed).status;
+    return engine_->Execute(prog, env_, mode).status;
   }
 
   storage::Database db_;
@@ -473,6 +476,108 @@ TEST_F(TxnContextTest, StatementsChargeServerTime) {
   EXPECT_GT(env.server_seconds(), config.costs.read_statement);
 }
 
+// --- Frozen tables ---
+//
+// A frozen table has no writer, so its IS/S requests are answered without
+// the lock manager and counted like the immediate grants they would have
+// been; its writes and for_update reads fail before any lock.
+
+class FrozenTableTest : public TxnContextTest,
+                        public ::testing::WithParamInterface<ExecMode> {};
+
+TEST_P(FrozenTableTest, ReadTakesNoLockAndCountsItsGrants) {
+  rows_->Freeze();
+  lock::LockManager& lm = engine_->lock_manager();
+  const storage::RowId id = *rows_->LookupPk(Key(int64_t{3}));
+  Status status = RunBody(
+      [&](TxnContext& c) -> Status {
+        const lock::LockManager::Stats before = lm.StatsSnapshot();
+        ACCDB_ASSIGN_OR_RETURN(Row row, c.ReadByKey(*rows_, Key(int64_t{3})));
+        EXPECT_EQ(row[2].AsInt64(), 300);
+        const lock::LockManager::Stats after = lm.StatsSnapshot();
+        EXPECT_EQ(after.requests, before.requests + 2);  // IS, then S.
+        EXPECT_EQ(after.immediate_grants, before.immediate_grants + 2);
+        EXPECT_EQ(lm.HolderCount(lock::ItemId::Table(rows_->id(), 0)), 0u);
+        EXPECT_EQ(lm.HolderCount(lock::ItemId::Row(rows_->id(), id)), 0u);
+        // The other read paths answer from the table the same way.
+        ACCDB_ASSIGN_OR_RETURN(Row by_id, c.ReadById(*rows_, id));
+        EXPECT_TRUE(by_id == row);
+        ACCDB_ASSIGN_OR_RETURN(auto group,
+                               c.ScanIndexPrefix(*rows_, by_group_,
+                                                 Key(int64_t{0})));
+        EXPECT_EQ(group.size(), 3u);  // ids 3, 6, 9.
+        ACCDB_ASSIGN_OR_RETURN(auto prefix,
+                               c.ScanPkPrefix(*rows_, Key(int64_t{3})));
+        EXPECT_EQ(prefix.size(), 1u);
+        ACCDB_ASSIGN_OR_RETURN(auto min, c.MinPkPrefix(*rows_, {}));
+        EXPECT_TRUE(min.has_value());
+        EXPECT_EQ(lm.HeldItemCount(c.txn_id()), 0u);
+        return Status::Ok();
+      },
+      GetParam());
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
+TEST_P(FrozenTableTest, WritesFailBeforeAnyLock) {
+  rows_->Freeze();
+  lock::LockManager& lm = engine_->lock_manager();
+  const storage::RowId id = *rows_->LookupPk(Key(int64_t{3}));
+  const Row original = *rows_->Get(id);
+  Status status = RunBody(
+      [&](TxnContext& c) -> Status {
+        const uint64_t requests = lm.StatsSnapshot().requests;
+        const std::vector<Status> refused = {
+            c.Insert(*rows_, {Value(int64_t{11}), Value(int64_t{2}),
+                              Value(int64_t{1100})})
+                .status(),
+            c.Update(*rows_, id, {{2, Value(int64_t{0})}}),
+            c.Delete(*rows_, id),
+            c.ReadByKey(*rows_, Key(int64_t{3}), /*for_update=*/true)
+                .status(),
+            c.ReadById(*rows_, id, /*for_update=*/true).status(),
+            c.ScanPkPrefix(*rows_, Key(int64_t{3}), /*for_update=*/true)
+                .status(),
+            c.MinPkPrefix(*rows_, {}, /*for_update=*/true).status(),
+            c.ScanIndexPrefix(*rows_, by_group_, Key(int64_t{0}),
+                              /*for_update=*/true)
+                .status(),
+        };
+        for (size_t i = 0; i < refused.size(); ++i) {
+          EXPECT_EQ(refused[i].code(), StatusCode::kFailedPrecondition)
+              << "statement " << i << ": " << refused[i].ToString();
+        }
+        EXPECT_EQ(lm.StatsSnapshot().requests, requests);
+        EXPECT_EQ(lm.HeldItemCount(c.txn_id()), 0u);
+        return Status::Ok();
+      },
+      GetParam());
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_TRUE(*rows_->Get(id) == original);
+  EXPECT_EQ(rows_->size(), 10u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LockingBackends, FrozenTableTest,
+    ::testing::Values(ExecMode::kAccDecomposed, ExecMode::kSerializable),
+    [](const ::testing::TestParamInfo<ExecMode>& info) {
+      return info.param == ExecMode::kAccDecomposed ? "Acc" : "TwoPl";
+    });
+
+#ifdef ACCDB_EXPENSIVE_CHECKS
+TEST_F(TxnContextTest, FrozenElisionAbortsIfTheItemIsLocked) {
+  rows_->Freeze();
+  // A lock the transaction layer could never take on a frozen table.
+  ASSERT_EQ(engine_->lock_manager().Request(
+                /*txn=*/999, lock::ItemId::Table(rows_->id(), 0),
+                lock::LockMode::kIX, lock::RequestContext{}),
+            lock::Outcome::kGranted);
+  EXPECT_DEATH(RunBody([&](TxnContext& c) {
+                 return c.ReadByKey(*rows_, Key(int64_t{3})).status();
+               }),
+               "frozen rows holds 1 lock");
+}
+#endif
+
 // --- Shard table items ---
 //
 // A table has one table item per storage shard. A statement's intent lock
@@ -669,6 +774,27 @@ TEST_F(ShardedTableTest, UnprefixedScansTakeIntentOnEveryShard) {
               return c.ScanPkPrefix(*sharded_, Key(int64_t{2})).status();
             }),
             V{2});
+}
+
+TEST_F(ShardedTableTest, FrozenUnprefixedScanCountsEveryShardAndLocksNone) {
+  sharded_->Freeze();
+  lock::LockManager& lm = engine_->lock_manager();
+  Status status = RunBody([&](TxnContext& c) -> Status {
+    const lock::LockManager::Stats before = lm.StatsSnapshot();
+    ACCDB_ASSIGN_OR_RETURN(auto rows, c.ScanPkPrefix(*sharded_, {}));
+    EXPECT_EQ(rows.size(), 6u);
+    const lock::LockManager::Stats after = lm.StatsSnapshot();
+    // IS on each of the three shard items, then S on each row.
+    EXPECT_EQ(after.requests, before.requests + kShards + rows.size());
+    EXPECT_EQ(after.immediate_grants,
+              before.immediate_grants + kShards + rows.size());
+    for (size_t s = 0; s < kShards; ++s) {
+      EXPECT_EQ(lm.HolderCount(ShardItem(s)), 0u) << s;
+    }
+    EXPECT_EQ(lm.HeldItemCount(c.txn_id()), 0u);
+    return Status::Ok();
+  });
+  EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
 }  // namespace

@@ -222,6 +222,9 @@ TEST_P(WalRecoveryTest, CrossShardCrashRecoversFromSurvivingWalOnly) {
   EXPECT_EQ(report.failed, 0) << report.first_error.ToString();
   EXPECT_EQ(report.missing_compensator, 0);
   EXPECT_TRUE(report.clean());
+  // The reload froze ITEM, and replay and compensation left it so.
+  EXPECT_TRUE(db.item->frozen());
+  EXPECT_EQ(db.item->size(), static_cast<size_t>(scale.item_count));
 
   ConsistencyReport consistency = CheckConsistency(db, /*strict=*/false);
   EXPECT_TRUE(consistency.ok) << (consistency.violations.empty()
