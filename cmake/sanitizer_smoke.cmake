@@ -12,8 +12,8 @@ if(NOT DEFINED SOURCE_DIR OR NOT DEFINED BUILD_DIR)
   message(FATAL_ERROR "usage: cmake -DSOURCE_DIR=... -DBUILD_DIR=... -P sanitizer_smoke.cmake")
 endif()
 
-# interference_test carries the spec-derivation cross-check (DESIGN.md §14)
-# and spec_audit_test the runtime auditor — both sanitized here so the
+# interference_test carries the spec derivation and its golden matrices
+# (DESIGN.md §14) and spec_audit_test the runtime auditor — both sanitized here so the
 # derivation and audit paths run under ASan+UBSan in every CI matrix cell.
 # storage_test runs the index-key encoder's sign and shift arithmetic under
 # UBSan; txn_context_test the keyed-read rebinding paths.

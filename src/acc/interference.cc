@@ -19,13 +19,6 @@ Interference InterferenceTable::Get(lock::ActorId actor,
   return it->second;
 }
 
-Interference InterferenceTable::GetRaw(lock::ActorId actor,
-                                       lock::AssertionId assertion) const {
-  auto it = entries_.find(PairKey(actor, assertion));
-  if (it == entries_.end()) return Interference::kAlways;
-  return it->second;
-}
-
 bool InterferenceTable::Interferes(
     lock::ActorId actor, const lock::KeyList& actor_keys,
     lock::AssertionId assertion, const lock::KeyList& assertion_keys) const {

@@ -3,7 +3,8 @@
 // An entry answers: "does actor A (a step type, or a completed transaction
 // prefix) interfere with assertion Q?" — i.e. could executing A transform a
 // state where Q holds into one where Q does not. The answer is computed at
-// design time by analyzing the proofs of the decomposed transactions; at run
+// design time by analyzing the proofs of the decomposed transactions (here:
+// spec::DeriveInterferenceTable, from each system's footprints); at run
 // time only a table lookup (plus an optional key comparison) is needed,
 // which is the ACC's performance advantage over predicate locks.
 //
@@ -23,7 +24,6 @@
 #ifndef ACCDB_ACC_INTERFERENCE_H_
 #define ACCDB_ACC_INTERFERENCE_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 
@@ -32,6 +32,7 @@
 
 namespace accdb::acc {
 
+// Declared in severity order, so std::max picks the more conservative.
 enum class Interference : uint8_t {
   kNone = 0,
   kIfSameKey,
@@ -49,11 +50,6 @@ class InterferenceTable {
   void Set(lock::ActorId actor, lock::AssertionId assertion, Interference v);
 
   Interference Get(lock::ActorId actor, lock::AssertionId assertion) const;
-
-  // The stored entry, ignoring the key_refinement ablation downgrade — what
-  // the design-time analysis recorded. Used by the spec cross-checker and
-  // the dump tool so the comparison is independent of ablation state.
-  Interference GetRaw(lock::ActorId actor, lock::AssertionId assertion) const;
 
   // The run-time check. Key vectors are compared element-wise over their
   // common prefix; differing on any position proves the actor targets a
@@ -76,8 +72,6 @@ class InterferenceTable {
   // Attaches the catalog whose assertion arities bound key refinement.
   // Must outlive the table.
   void set_catalog(const Catalog* catalog) { catalog_ = catalog; }
-
-  size_t entry_count() const { return entries_.size(); }
 
  private:
   static uint64_t PairKey(lock::ActorId actor, lock::AssertionId assertion) {

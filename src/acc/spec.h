@@ -21,9 +21,9 @@
 //     lines, falsifying the completeness conjunct for that order until the
 //     final loop step runs. Prefix entries fold from these.
 //
-// spec_derive.h turns a registry of these specs into a full
-// InterferenceTable and cross-checks it against the hand table at system
-// construction. The registry also carries optional runtime CHECKERS — a
+// spec_derive.h turns a registry of these specs into the full
+// InterferenceTable the engine runs on: the specs are the only source of its
+// entries. The registry also carries optional runtime CHECKERS — a
 // predicate per assertion that re-evaluates the assertion instance against
 // the live database — which MakeAuditor() packages for
 // EngineConfig::audit_assertions (DESIGN.md §14).

@@ -1,8 +1,6 @@
 #include "acc/spec_derive.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/string_util.h"
 
@@ -10,16 +8,16 @@ namespace accdb::acc::spec {
 
 namespace {
 
-const char* InterferenceName(Interference v) {
+char CellChar(Interference v) {
   switch (v) {
     case Interference::kNone:
-      return "kNone";
+      return '-';
     case Interference::kIfSameKey:
-      return "kIfSameKey";
+      return 'K';
     case Interference::kAlways:
-      return "kAlways";
+      return 'A';
   }
-  return "?";
+  return '?';
 }
 
 bool Contains(const std::vector<int>& xs, int x) {
@@ -62,13 +60,9 @@ bool FullyDiscriminated(const StepSpec& step, const WriteAccess& write,
 
 }  // namespace
 
-int InterferenceRank(Interference v) { return static_cast<int>(v); }
-
 Interference DeriveStepEntry(const StepSpec& step,
-                             const AssertionSpec& assertion,
-                             std::string* why) {
+                             const AssertionSpec& assertion) {
   Interference worst = Interference::kNone;
-  if (why != nullptr) *why = "no overlapping access pair";
   for (const WriteAccess& write : step.writes) {
     // Provenance discharge (rule 2): fresh identities cannot be named by
     // existing instances; own-state effects are the prefix entry's burden.
@@ -93,19 +87,7 @@ Interference DeriveStepEntry(const StepSpec& step,
           FullyDiscriminated(step, write, assertion, read)
               ? Interference::kIfSameKey
               : Interference::kAlways;
-      if (InterferenceRank(pair) > InterferenceRank(worst)) {
-        worst = pair;
-        if (why != nullptr) {
-          *why = StrFormat(
-              "write on table %u (%s) overlaps predicate read "
-              "(%zu column(s)) -> %s",
-              write.table,
-              write.kind == WriteKind::kMutate
-                  ? "mutate"
-                  : (write.kind == WriteKind::kInsert ? "insert" : "delete"),
-              overlapped.size(), InterferenceName(pair));
-        }
-      }
+      worst = std::max(worst, pair);
       if (worst == Interference::kAlways) return worst;
     }
   }
@@ -114,27 +96,18 @@ Interference DeriveStepEntry(const StepSpec& step,
 
 Interference DerivePrefixEntry(const PrefixSpec& prefix,
                                const AssertionSpec& assertion,
-                               const SpecRegistry& registry,
-                               std::string* why) {
-  if (why != nullptr) *why = "no constituent step breaks the assertion";
+                               const SpecRegistry& registry) {
   for (lock::ActorId actor : prefix.steps) {
     const StepSpec* step = registry.FindStep(actor);
     if (step == nullptr) {
       // An unspecified constituent step: nothing is known about what its
       // partial execution falsified. Conservative.
-      if (why != nullptr) {
-        *why = StrFormat("constituent step %u has no spec", actor);
-      }
       return Interference::kAlways;
     }
     for (lock::AssertionId broken : step->breaks) {
       if (broken != assertion.decl) continue;
       // The falsified instance is the holder's own, named by its key
       // vector — discriminable iff the assertion is keyed at all.
-      if (why != nullptr) {
-        *why = StrFormat("constituent step %u breaks it mid-transaction",
-                         actor);
-      }
       return assertion.key_dims.empty() ? Interference::kAlways
                                         : Interference::kIfSameKey;
     }
@@ -159,48 +132,34 @@ InterferenceTable DeriveInterferenceTable(const SpecRegistry& registry,
   return derived;
 }
 
-Status CrossCheckInterference(const InterferenceTable& hand,
-                              const InterferenceTable& derived,
-                              const SpecRegistry& registry,
-                              const Catalog& catalog) {
-  std::string errors;
-  auto check = [&](lock::ActorId actor, lock::AssertionId decl) {
-    Interference h = hand.GetRaw(actor, decl);
-    Interference d = derived.GetRaw(actor, decl);
-    if (InterferenceRank(h) < InterferenceRank(d)) {
-      errors += StrFormat(
-          "  (%s, %s): hand table says %s but derivation requires %s\n",
-          std::string(catalog.ActorName(actor)).c_str(),
-          std::string(catalog.AssertionName(decl)).c_str(),
-          InterferenceName(h), InterferenceName(d));
-    }
-  };
-  for (const AssertionSpec& assertion : registry.assertions()) {
-    for (const StepSpec& step : registry.steps()) {
-      check(step.actor, assertion.decl);
-    }
-    for (const PrefixSpec& prefix : registry.prefixes()) {
-      check(prefix.actor, assertion.decl);
-    }
+std::string FormatInterferenceMatrix(const char* title, const Catalog& catalog,
+                                     const InterferenceTable& table) {
+  std::string out = StrFormat(
+      "## %s\n\nCells: `-` none, `K` if-same-key, `A` always.\n\n", title);
+  int name_width = 8;
+  for (size_t a = 1; a <= catalog.actor_count(); ++a) {
+    name_width =
+        std::max(name_width, static_cast<int>(catalog.ActorName(a).size()));
   }
-  if (errors.empty()) return Status::Ok();
-  return Status::FailedPrecondition(
-      "hand interference table is less conservative than the derived "
-      "table:\n" +
-      errors);
-}
-
-void EnforceInterferenceSpecs(const SpecRegistry& registry,
-                              const Catalog& catalog,
-                              const InterferenceTable& hand,
-                              const char* system_name) {
-  InterferenceTable derived = DeriveInterferenceTable(registry, catalog);
-  Status check = CrossCheckInterference(hand, derived, registry, catalog);
-  if (!check.ok()) {
-    std::fprintf(stderr, "interference cross-check failed for %s:\n%s\n",
-                 system_name, std::string(check.message()).c_str());
-    std::abort();
+  out += StrFormat("| %-*s |", name_width, "actor");
+  for (size_t q = 1; q <= catalog.assertion_count(); ++q) {
+    out += StrFormat(" %s |", std::string(catalog.AssertionName(q)).c_str());
   }
+  out += StrFormat("\n| %s |", std::string(name_width, '-').c_str());
+  for (size_t q = 1; q <= catalog.assertion_count(); ++q) {
+    out += " " + std::string(catalog.AssertionName(q).size(), '-') + " |";
+  }
+  out += "\n";
+  for (size_t a = 1; a <= catalog.actor_count(); ++a) {
+    out += StrFormat("| %-*s |", name_width,
+                     std::string(catalog.ActorName(a)).c_str());
+    for (size_t q = 1; q <= catalog.assertion_count(); ++q) {
+      int width = static_cast<int>(catalog.AssertionName(q).size());
+      out += StrFormat(" %-*c |", std::max(width, 1), CellChar(table.Get(a, q)));
+    }
+    out += "\n";
+  }
+  return out;
 }
 
 }  // namespace accdb::acc::spec

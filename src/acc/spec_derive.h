@@ -1,5 +1,6 @@
-// Derivation of interference tables from step/assertion specs, and the
-// construction-time cross-check against the hand-written tables.
+// Derivation of interference tables from step/assertion specs. The derived
+// table is the one the engine runs on: TpccDb and OrderSystem install
+// DeriveInterferenceTable's result as their `interference` member.
 //
 // Derivation rules (DESIGN.md §14). For a step S and assertion Q, consider
 // every pair of a WriteAccess of S and a ReadAccess of Q on the same table:
@@ -32,10 +33,9 @@
 // keyed (the falsified instance is the holder's own, named by its keys) and
 // kAlways when Q has no discriminators; otherwise kNone.
 //
-// The cross-check direction matters: the hand table may be MORE
-// conservative than the derived one (that only costs performance), but an
-// entry where the hand table is LESS conservative is a soundness hole and
-// fails construction with the named (actor, assertion) pair.
+// FormatInterferenceMatrix renders a table as the markdown matrix that
+// tools/interference_dump prints and tests/golden/interference_*.md pin, so a
+// footprint change shows up as a reviewed golden diff.
 
 #ifndef ACCDB_ACC_SPEC_DERIVE_H_
 #define ACCDB_ACC_SPEC_DERIVE_H_
@@ -45,50 +45,31 @@
 #include "acc/catalog.h"
 #include "acc/interference.h"
 #include "acc/spec.h"
-#include "common/status.h"
 
 namespace accdb::acc::spec {
 
-// Severity order for cross-checking: kNone (0) < kIfSameKey (1) <
-// kAlways (2).
-int InterferenceRank(Interference v);
-
-// Derives the entry for one step against one assertion. When `why` is
-// non-null it receives a short explanation of the decisive access pair (for
-// the dump tool and cross-check diagnostics).
+// Derives the entry for one step against one assertion.
 Interference DeriveStepEntry(const StepSpec& step,
-                             const AssertionSpec& assertion,
-                             std::string* why = nullptr);
+                             const AssertionSpec& assertion);
 
 // Derives the entry for one prefix against one assertion by folding the
 // constituent steps' `breaks`.
 Interference DerivePrefixEntry(const PrefixSpec& prefix,
                                const AssertionSpec& assertion,
-                               const SpecRegistry& registry,
-                               std::string* why = nullptr);
+                               const SpecRegistry& registry);
 
 // Derives the full table: one entry per declared (step|prefix, assertion)
-// pair. Pairs not covered by the registry keep the table's kAlways default.
+// pair, with `catalog` attached to bound key refinement by the declared
+// arities. Pairs not covered by the registry keep the table's kAlways
+// default.
 InterferenceTable DeriveInterferenceTable(const SpecRegistry& registry,
                                           const Catalog& catalog);
 
-// Diffs `hand` against `derived` over every registered pair in `registry`.
-// OK iff the hand table is at least as conservative as the derived one
-// everywhere; otherwise the error message names every offending
-// (actor, assertion) pair with both values. Raw entries are compared
-// (key_refinement ablation state does not affect the check).
-Status CrossCheckInterference(const InterferenceTable& hand,
-                              const InterferenceTable& derived,
-                              const SpecRegistry& registry,
-                              const Catalog& catalog);
-
-// Construction-time enforcement: derive, cross-check, and abort the process
-// with the full diff on stderr if the hand table is unsound. Called from
-// the TpccDb / OrderSystem constructors; `system_name` labels the message.
-void EnforceInterferenceSpecs(const SpecRegistry& registry,
-                              const Catalog& catalog,
-                              const InterferenceTable& hand,
-                              const char* system_name);
+// Renders `table` as a markdown matrix under the heading `## title`: one row
+// per catalog actor, one column per catalog assertion, cells `-` (kNone),
+// `K` (kIfSameKey) and `A` (kAlways), as Get returns them.
+std::string FormatInterferenceMatrix(const char* title, const Catalog& catalog,
+                                     const InterferenceTable& table);
 
 }  // namespace accdb::acc::spec
 

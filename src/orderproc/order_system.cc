@@ -78,50 +78,13 @@ OrderSystem::OrderSystem(storage::Database* db_in) : db(db_in) {
   assert_no_loop = catalog.RegisterAssertion("new_order.loop_invariant", 1);
   assert_i1 = catalog.RegisterAssertion("I1", 1);
 
-  // Interference table (Section 4).
-  //
-  // "In the proof (3) of new_order, no inter-step assertion is interfered
-  // with by any step of another instance of new_order": each step touches
-  // only the order it created itself, and order ids are unique. The
-  // design-time analysis records this two ways:
-  //   * NO1 (counter increment + insert of a *fresh* order) provably never
-  //     invalidates either assertion, for any instance: kNone. This entry
-  //     must be unconditional — NO1's discriminators are unknown when it
-  //     starts, and the counter row it writes is shared by every
-  //     new_order.
-  //   * NO2 and compensation invalidate an instance only when they target
-  //     the same order: kIfSameKey (first key = order id). The one-level
-  //     ACC compares the run-time keys; the two-level design of [5] cannot
-  //     and must conservatively assume interference — the false-conflict
-  //     ablation flips exactly this refinement off.
-  interference.Set(step_no_create, assert_no_loop, acc::Interference::kNone);
-  interference.Set(step_no_create, assert_i1, acc::Interference::kNone);
-  for (lock::ActorId step : {step_no_orderline, step_no_compensate}) {
-    interference.Set(step, assert_no_loop, acc::Interference::kIfSameKey);
-    interference.Set(step, assert_i1, acc::Interference::kIfSameKey);
-  }
-  // bill writes only orders.price, which neither assertion mentions;
-  // same-order bills serialize on conventional row locks anyway.
-  interference.Set(step_bill, assert_no_loop, acc::Interference::kNone);
-  interference.Set(step_bill, assert_i1, acc::Interference::kNone);
-  // Prefixes: empty prefixes interfere with nothing. The one load-bearing
-  // conditional entry: a *partial* new_order has falsified I1 (and holds a
-  // loop-invariant lock) for its own order, so a transaction initiating
-  // with pre = I1^{o} (bill) must wait iff it names the same order.
-  for (lock::AssertionId a : {assert_no_loop, assert_i1}) {
-    interference.Set(prefix_no_empty, a, acc::Interference::kNone);
-    interference.Set(prefix_bill_empty, a, acc::Interference::kNone);
-  }
-  interference.Set(prefix_no_partial, assert_no_loop,
-                   acc::Interference::kNone);
-  interference.Set(prefix_no_partial, assert_i1,
-                   acc::Interference::kIfSameKey);
-
   // --- Step/assertion specs (DESIGN.md §14) ---
   //
-  // The machine-checkable form of §4's analysis. The constructor tail
-  // derives the interference table from these footprints and aborts if the
-  // hand entries above are ever less conservative than the derivation.
+  // The machine-checkable form of §4's analysis, from which the constructor
+  // derives the interference table. "In the proof (3) of new_order, no
+  // inter-step assertion is interfered with by any step of another instance
+  // of new_order": each step touches only the order it created itself, and
+  // order ids are unique.
   {
     // Loop invariant of a new_order mid-flight (keys {o}): "my order row
     // exists with num_distinct_items = N, and the orderlines inserted so
@@ -162,8 +125,11 @@ OrderSystem::OrderSystem(storage::Database* db_in) : db(db_in) {
   }
   {
     // NO1: counter increment (commutative) + insert of a FRESH order — the
-    // "order ids are unique" argument, as provenance. Its completion leaves
-    // I1 falsified for the new order until the last NO2 runs.
+    // "order ids are unique" argument, as provenance. Both writes must be
+    // discharged outright: NO1's discriminators are unknown when it starts
+    // (no key dims), and the counter row it writes is shared by every
+    // new_order, so any charged overlap would derive kAlways. Its completion
+    // leaves I1 falsified for the new order until the last NO2 runs.
     StepSpec s;
     s.actor = step_no_create;
     s.key_dims = {};
@@ -185,7 +151,10 @@ OrderSystem::OrderSystem(storage::Database* db_in) : db(db_in) {
     // filled <= ordered bound) + orderline insert pinned by the order id.
     // The paper charges the insert as same-key interference (rather than
     // leaning on an ownership argument): it perturbs exactly the
-    // assertions over order o.
+    // assertions over order o. The one-level ACC compares the run-time
+    // keys; the two-level design of [5] cannot and must conservatively
+    // assume interference — the false-conflict ablation turns exactly this
+    // refinement off.
     StepSpec s;
     s.actor = step_no_orderline;
     s.key_dims = {"o", "item"};
@@ -202,7 +171,8 @@ OrderSystem::OrderSystem(storage::Database* db_in) : db(db_in) {
     specs.DeclareStep(std::move(s));
   }
   {
-    // Compensation {o}: removes order o and its lines, returns stock.
+    // Compensation {o}: removes order o and its lines, returns stock —
+    // same-key interference with both assertions over order o, like NO2.
     StepSpec s;
     s.actor = step_no_compensate;
     s.key_dims = {"o"};
@@ -221,7 +191,8 @@ OrderSystem::OrderSystem(storage::Database* db_in) : db(db_in) {
     specs.DeclareStep(std::move(s));
   }
   {
-    // bill {o}: writes only orders.price, which no assertion reads.
+    // bill {o}: writes only orders.price, which no assertion reads;
+    // same-order bills serialize on conventional row locks anyway.
     StepSpec s;
     s.actor = step_bill;
     s.key_dims = {"o"};
@@ -229,14 +200,16 @@ OrderSystem::OrderSystem(storage::Database* db_in) : db(db_in) {
                             WriteScope::kShared}};
     specs.DeclareStep(std::move(s));
   }
+  // Prefixes: empty prefixes interfere with nothing. The one load-bearing
+  // conditional entry: a *partial* new_order has falsified I1 (NO1's
+  // `breaks`) for its own order, so a transaction initiating with
+  // pre = I1^{o} (bill) must wait iff it names the same order.
   specs.DeclarePrefix(PrefixSpec{prefix_no_empty, {}});
   specs.DeclarePrefix(
       PrefixSpec{prefix_no_partial, {step_no_create, step_no_orderline}});
   specs.DeclarePrefix(PrefixSpec{prefix_bill_empty, {}});
 
-  interference.set_catalog(&catalog);
-  acc::spec::EnforceInterferenceSpecs(specs, catalog, interference,
-                                      "orderproc");
+  interference = acc::spec::DeriveInterferenceTable(specs, catalog);
 }
 
 AuditVerdict OrderSystem::CheckOrderLines(int64_t order_id, bool exact,

@@ -15,9 +15,10 @@
 // Decomposition: new_order = one creation step (NO1) followed by one step
 // per orderline (NO2); its partial execution falsifies I1^{o} for its own
 // order only. bill is a single step requiring I1^{o} as precondition. The
-// interference table below encodes exactly the paper's analysis: instances
-// of new_order interleave arbitrarily; bill cannot be interleaved between
-// the steps of a new_order acting on the same order.
+// interference table, derived from the step/assertion specs, encodes
+// exactly the paper's analysis: instances of new_order interleave
+// arbitrarily; bill cannot be interleaved between the steps of a new_order
+// acting on the same order.
 
 #ifndef ACCDB_ORDERPROC_ORDER_SYSTEM_H_
 #define ACCDB_ORDERPROC_ORDER_SYSTEM_H_
@@ -33,7 +34,8 @@ namespace accdb::orderproc {
 
 struct OrderSystem {
   // Creates the schema in `db` and registers the design-time analysis
-  // products (step types, prefixes, assertions, interference entries).
+  // products (step types, prefixes, assertions, specs, and the interference
+  // table derived from them).
   explicit OrderSystem(storage::Database* db);
 
   storage::Database* db;
@@ -56,10 +58,12 @@ struct OrderSystem {
 
   // Design-time analysis.
   acc::Catalog catalog;
+  // Derived from `specs` at construction (acc::spec::DeriveInterferenceTable;
+  // pinned by tests/golden/interference_orderproc.md).
   acc::InterferenceTable interference;
-  // Machine-checkable footprints; the constructor derives the table from
-  // them and aborts if the hand table is less conservative (DESIGN.md §14).
-  // Also carries the runtime checkers for EngineConfig::audit_assertions.
+  // Machine-checkable footprints: the one source of the interference table
+  // (DESIGN.md §14). Also carries the runtime checkers for
+  // EngineConfig::audit_assertions.
   acc::spec::SpecRegistry specs;
 
   // Step types.

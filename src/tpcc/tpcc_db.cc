@@ -177,64 +177,19 @@ TpccDb::TpccDb(storage::Database* db_in, size_t warehouse_shards)
   assert_pay = catalog.RegisterAssertion("tpcc.pay", 2);
   assert_dlv = catalog.RegisterAssertion("tpcc.dlv", 1);
 
-  // --- Interference table ---
-  //
-  // Every analyzed (step, assertion) pair gets an explicit entry; anything
-  // else (legacy/ad-hoc writers) hits the conservative kAlways default.
-  const lock::ActorId all_steps[] = {step_no1, step_no2, step_no3, step_p1,
-                                     step_p2, step_p3, step_d1, step_d2,
-                                     step_d3, step_os1, step_sl1, step_cs_no,
-                                     step_cs_p, step_cs_d};
-  const lock::AssertionId all_asserts[] = {assert_no_loop,
-                                           assert_order_complete, assert_pay,
-                                           assert_dlv};
-  // Base analysis: TPC-C steps touch disjoint logical state (their own
-  // order, commuting ytd/balance increments, the order-number counter which
-  // only grows), so the default among analyzed steps is "no interference".
-  // This single fact is what lets new-order and payment interleave in the
-  // same district (the d_next_o_id vs d_ytd field-level insight).
-  for (lock::ActorId step : all_steps) {
-    for (lock::AssertionId a : all_asserts) {
-      interference.Set(step, a, acc::Interference::kNone);
-    }
-  }
-  // Exceptions, from the proofs:
-  //  * D2 (delivery of order o) invalidates the construction invariant of
-  //    the same order, and it consumes state that the order's compensation
-  //    would reverse — so it also interferes with the same order's
-  //    completeness/post assertion, which new-order holds until commit
-  //    ("the need for compensation limits step decomposition": results a
-  //    compensating step might undo must not be consumed by steps whose
-  //    effects would survive the compensation).
-  //  * CS_NO (removal of order o) invalidates both for the same order.
-  interference.Set(step_d2, assert_no_loop, acc::Interference::kIfSameKey);
-  interference.Set(step_d2, assert_order_complete,
-                   acc::Interference::kIfSameKey);
-  interference.Set(step_cs_no, assert_no_loop,
-                   acc::Interference::kIfSameKey);
-  interference.Set(step_cs_no, assert_order_complete,
-                   acc::Interference::kIfSameKey);
-
-  // Prefixes: an empty prefix has changed nothing. A partial new-order has
-  // falsified the completeness conjunct for its own order — the entry that
-  // delays order-status (and any reader requiring the conjunct) on an
-  // in-flight order. Partial payments/deliveries falsify only ytd-sum
-  // conjuncts, which none of these assertions require.
-  for (lock::AssertionId a : all_asserts) {
-    interference.Set(prefix_empty, a, acc::Interference::kNone);
-    interference.Set(prefix_no_partial, a, acc::Interference::kNone);
-    interference.Set(prefix_p_partial, a, acc::Interference::kNone);
-    interference.Set(prefix_d_partial, a, acc::Interference::kNone);
-  }
-  interference.Set(prefix_no_partial, assert_order_complete,
-                   acc::Interference::kIfSameKey);
-
   // --- Step/assertion specs (DESIGN.md §14) ---
   //
-  // The machine-checkable form of the analysis above: footprints +
-  // provenance/commutativity facts from which spec_derive recomputes the
-  // table. The constructor tail cross-checks hand vs derived and aborts on
-  // any entry where the hand table is less conservative.
+  // The design-time analysis, as data: footprints + provenance and
+  // commutativity facts from which spec_derive computes the interference
+  // table the engine runs on (the constructor's last statement). Every
+  // step, prefix and assertion in the catalog has a spec, so every analyzed
+  // pair gets a derived entry; anything else (legacy/ad-hoc writers) hits
+  // the table's conservative kAlways default. The base fact the specs
+  // encode: TPC-C steps touch disjoint logical state — their own order,
+  // commuting ytd/balance increments, the order-number counter which only
+  // grows — so most entries derive kNone. That is what lets new-order and
+  // payment interleave in the same district (the d_next_o_id vs d_ytd
+  // field-level insight).
 
   // Assertion footprints. Key dims are positional; a ReadAccess pins a
   // position when differing values there prove the predicate ranges over
@@ -247,6 +202,13 @@ TpccDb::TpccDb(storage::Database* db_in, size_t warehouse_shards)
     // Deliberately NOT claimed: survival of the NEW-ORDER row — a
     // same-district D2 may pop it early and then block on the orders row
     // (the o_carrier_id read below) until this transaction completes.
+    // Known gap: if this new-order then rolls back, the early pop plus
+    // CompensateOrder's unlocked NEW-ORDER LookupPk probe is the hot-regime
+    // compensation race (ROADMAP.md) — the compensator skips the popped row,
+    // D2 fails with ABORTED:orders and its undo leaves an orphan NEW-ORDER.
+    // Reproducer: `perfbench_driver --kind=embedded --mode=acc
+    // --warehouses=1 --threads=4 --cost-scale=1 --seconds=2 --seed=7004
+    // --audit`.
     AssertionSpec s;
     s.decl = assert_no_loop;
     s.key_dims = {"w", "d", "o"};
@@ -453,6 +415,13 @@ TpccDb::TpccDb(storage::Database* db_in, size_t warehouse_shards)
     // and its lines, credits the customer. The delete and the stamps hit
     // shared rows another transaction's assertion may range over — the rows
     // are pinned by {w, d}, so interference refines to same-district keys.
+    // The stamps invalidate the construction invariant of the order they
+    // deliver, and they consume state that order's compensation would
+    // reverse, so they are charged against its completeness assertion too
+    // (order_complete reads o_carrier_id / ol_delivery_d): "the need for
+    // compensation limits step decomposition" — results a compensating step
+    // might undo must not be consumed by steps whose effects would survive
+    // the compensation.
     StepSpec s;
     s.actor = step_d2;
     s.key_dims = {"w", "d"};
@@ -497,7 +466,8 @@ TpccDb::TpccDb(storage::Database* db_in, size_t warehouse_shards)
   }
   {
     // CS_NO {w, d, o}: removes the partially built order — deletes pinned
-    // by the full key, stock counters reversed commutatively.
+    // by the full key, stock counters reversed commutatively. The deletes
+    // invalidate both order assertions, for the same order only.
     StepSpec s;
     s.actor = step_cs_no;
     s.key_dims = {"w", "d", "o"};
@@ -572,7 +542,12 @@ TpccDb::TpccDb(storage::Database* db_in, size_t warehouse_shards)
     specs.DeclareStep(std::move(s));
   }
 
-  // Prefixes: which forward steps may have completed within each.
+  // Prefixes: which forward steps may have completed within each. An empty
+  // prefix has changed nothing. A partial new-order has falsified the
+  // completeness conjunct for its own order (NO1's `breaks`) — the entry
+  // that delays order-status, and any reader requiring the conjunct, on an
+  // in-flight order. Partial payments/deliveries falsify only ytd-sum
+  // conjuncts, which none of these assertions require.
   specs.DeclarePrefix(PrefixSpec{prefix_empty, {}});
   specs.DeclarePrefix(PrefixSpec{prefix_no_partial,
                                  {step_no1, step_no2, step_no3}});
@@ -581,11 +556,7 @@ TpccDb::TpccDb(storage::Database* db_in, size_t warehouse_shards)
   specs.DeclarePrefix(PrefixSpec{prefix_d_partial,
                                  {step_d1, step_d2, step_d3}});
 
-  // Bound key refinement by the declared arities, then prove the hand
-  // table: derive from the specs and fail hard on any entry where the hand
-  // table above is less conservative than the derivation.
-  interference.set_catalog(&catalog);
-  acc::spec::EnforceInterferenceSpecs(specs, catalog, interference, "tpcc");
+  interference = acc::spec::DeriveInterferenceTable(specs, catalog);
 }
 
 AuditVerdict TpccDb::CheckOrderRows(int64_t w, int64_t d, int64_t o,

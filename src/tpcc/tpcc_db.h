@@ -90,11 +90,12 @@ struct TpccDb {
   // --- Design-time analysis ---
 
   acc::Catalog catalog;
+  // Derived from `specs` at construction (acc::spec::DeriveInterferenceTable;
+  // pinned by tests/golden/interference_tpcc.md).
   acc::InterferenceTable interference;
-  // Machine-checkable step/assertion footprints. The constructor derives an
-  // interference table from them and aborts if the hand table below is ever
-  // LESS conservative than the derivation (DESIGN.md §14). Also carries the
-  // runtime assertion checkers for EngineConfig::audit_assertions.
+  // Machine-checkable step/assertion footprints: the one source of the
+  // interference table (DESIGN.md §14). Also carries the runtime assertion
+  // checkers for EngineConfig::audit_assertions.
   acc::spec::SpecRegistry specs;
 
   // Forward step types (11) and compensating step types (3).
@@ -121,9 +122,11 @@ struct TpccDb {
   lock::AssertionId assert_dlv;            // Keys {w}: delivery progress.
 
   // Shared body of the no_loop / order_complete runtime checkers: order
-  // (w, d, o) exists, optionally its NEW-ORDER row exists, and its
-  // ORDER-LINE count is <= (or exactly ==) o_ol_cnt. Reads go through the
-  // latched Table primitives only.
+  // (w, d, o) exists, its ORDER-LINE count is <= (or exactly ==) o_ol_cnt,
+  // and, with `require_undelivered`, its o_carrier_id is unset and no line
+  // carries an ol_delivery_d stamp. The NEW-ORDER row is never read — no
+  // assertion claims it survives — so an orphan NEW-ORDER row is invisible
+  // to the auditor. Reads go through the latched Table primitives only.
   acc::AuditVerdict CheckOrderRows(int64_t w, int64_t d, int64_t o,
                                    bool require_undelivered,
                                    bool exact_line_count,

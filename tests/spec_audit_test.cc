@@ -85,10 +85,10 @@ TEST_F(SpecAuditTest, SoundTableAuditsCleanly) {
 
 TEST_F(SpecAuditTest, WeakenedEntryIsDetected) {
   // Erase the entry that makes bill's initiation check wait for the
-  // in-flight new_order on the same order — the exact soundness hole the
-  // construction-time cross-check would refuse if it were in the hand
-  // table (here it is injected after construction, behind the check's
-  // back). Bill now slips between two NO2 steps, its initial assertion
+  // in-flight new_order on the same order — the soundness hole the
+  // derivation rules out (NO1 `breaks` I1, so the partial prefix derives
+  // kIfSameKey); here it is injected into the derived table after
+  // construction. Bill now slips between two NO2 steps, its initial assertion
   // I1^{o} is granted while the order has fewer lines than
   // num_distinct_items — and the auditor sees the falsified instance.
   sys_.interference.Set(sys_.prefix_no_partial, sys_.assert_i1,

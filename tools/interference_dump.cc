@@ -1,14 +1,12 @@
-// interference_dump: print the hand-written and spec-derived interference
-// tables for both analyzed systems (TPC-C and the Section 4 order-processing
-// example) as markdown matrices.
+// interference_dump: print the interference tables that TPC-C and the
+// Section 4 order-processing example run on — derived from their
+// step/assertion specs — as markdown matrices.
 //
-// Cells: `-` = kNone, `K` = kIfSameKey, `A` = kAlways. In the derived
-// matrix a cell where the two tables disagree is suffixed with `!`. A
-// disagreement where the hand table is MORE conservative (hand > derived)
-// is legal slack and only flagged; a hand table LESS conservative than the
-// derivation is a soundness bug — construction of TpccDb / OrderSystem
-// already aborts on it (acc::spec::EnforceInterferenceSpecs), and this tool
-// exits 1 as a belt-and-braces check.
+// Cells: `-` = kNone, `K` = kIfSameKey, `A` = kAlways. The output for one
+// system is byte-for-byte the golden that interference_test pins:
+//
+//   interference_dump tpcc      | diff - tests/golden/interference_tpcc.md
+//   interference_dump orderproc | diff - tests/golden/interference_orderproc.md
 //
 // Usage: interference_dump [tpcc|orderproc]   (default: both)
 
@@ -16,90 +14,10 @@
 #include <cstring>
 #include <string>
 
-#include "acc/catalog.h"
-#include "acc/interference.h"
 #include "acc/spec_derive.h"
 #include "orderproc/order_system.h"
 #include "storage/database.h"
 #include "tpcc/tpcc_db.h"
-
-namespace accdb {
-namespace {
-
-char CellChar(acc::Interference value) {
-  switch (value) {
-    case acc::Interference::kNone:
-      return '-';
-    case acc::Interference::kIfSameKey:
-      return 'K';
-    case acc::Interference::kAlways:
-      return 'A';
-  }
-  return '?';
-}
-
-// Prints one matrix (rows = actors, columns = assertions). When `reference`
-// is non-null, cells differing from it are marked with `!`.
-void PrintMatrix(const char* title, const acc::Catalog& catalog,
-                 const acc::InterferenceTable& table,
-                 const acc::InterferenceTable* reference) {
-  std::printf("### %s\n\n", title);
-  int name_width = 8;
-  for (size_t a = 1; a <= catalog.actor_count(); ++a) {
-    int len = static_cast<int>(catalog.ActorName(a).size());
-    if (len > name_width) name_width = len;
-  }
-  std::printf("| %-*s |", name_width, "actor");
-  for (size_t q = 1; q <= catalog.assertion_count(); ++q) {
-    std::printf(" %s |", std::string(catalog.AssertionName(q)).c_str());
-  }
-  std::printf("\n| %s |", std::string(name_width, '-').c_str());
-  for (size_t q = 1; q <= catalog.assertion_count(); ++q) {
-    std::printf(" %s |",
-                std::string(catalog.AssertionName(q).size(), '-').c_str());
-  }
-  std::printf("\n");
-  for (size_t a = 1; a <= catalog.actor_count(); ++a) {
-    std::printf("| %-*s |", name_width,
-                std::string(catalog.ActorName(a)).c_str());
-    for (size_t q = 1; q <= catalog.assertion_count(); ++q) {
-      acc::Interference value = table.GetRaw(a, q);
-      std::string cell(1, CellChar(value));
-      if (reference != nullptr && reference->GetRaw(a, q) != value) {
-        cell += '!';
-      }
-      int width = static_cast<int>(catalog.AssertionName(q).size());
-      std::printf(" %-*s |", width < 1 ? 1 : width, cell.c_str());
-    }
-    std::printf("\n");
-  }
-  std::printf("\n");
-}
-
-// Dumps hand + derived matrices for one system; returns false if the hand
-// table is less conservative than the derivation anywhere.
-bool DumpSystem(const char* name, const acc::Catalog& catalog,
-                const acc::InterferenceTable& hand,
-                const acc::spec::SpecRegistry& specs) {
-  acc::InterferenceTable derived =
-      acc::spec::DeriveInterferenceTable(specs, catalog);
-  std::printf("## %s\n\n", name);
-  PrintMatrix("hand table", catalog, hand, nullptr);
-  PrintMatrix("derived from specs (! = differs from hand)", catalog, derived,
-              &hand);
-  Status check = acc::spec::CrossCheckInterference(hand, derived, specs,
-                                                   catalog);
-  if (!check.ok()) {
-    std::printf("UNSOUND: %s\n\n", check.message().c_str());
-    return false;
-  }
-  std::printf("cross-check: hand table is sound (hand >= derived "
-              "everywhere)\n\n");
-  return true;
-}
-
-}  // namespace
-}  // namespace accdb
 
 int main(int argc, char** argv) {
   using namespace accdb;
@@ -115,20 +33,23 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("# Interference tables: hand-written vs. spec-derived\n\n");
-  std::printf("Cells: `-` none, `K` if-same-key, `A` always.\n\n");
-
-  bool sound = true;
   if (want_tpcc) {
     storage::Database db;
     tpcc::TpccDb tpcc(&db);
-    sound &= DumpSystem("tpcc", tpcc.catalog, tpcc.interference, tpcc.specs);
+    std::fputs(acc::spec::FormatInterferenceMatrix("tpcc", tpcc.catalog,
+                                                   tpcc.interference)
+                   .c_str(),
+               stdout);
   }
+  if (want_tpcc && want_orderproc) std::fputs("\n", stdout);
   if (want_orderproc) {
     storage::Database db;
     orderproc::OrderSystem system(&db);
-    sound &= DumpSystem("orderproc (Section 4)", system.catalog,
-                        system.interference, system.specs);
+    std::fputs(acc::spec::FormatInterferenceMatrix("orderproc",
+                                                   system.catalog,
+                                                   system.interference)
+                   .c_str(),
+               stdout);
   }
-  return sound ? 0 : 1;
+  return 0;
 }
